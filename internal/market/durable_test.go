@@ -15,6 +15,7 @@ import (
 	"github.com/datamarket/mbp/internal/market/markettest"
 	"github.com/datamarket/mbp/internal/ml"
 	"github.com/datamarket/mbp/internal/noise"
+	"github.com/datamarket/mbp/internal/obs/trace"
 	"github.com/datamarket/mbp/internal/resilience"
 	"github.com/datamarket/mbp/internal/rng"
 	"github.com/datamarket/mbp/internal/store"
@@ -102,6 +103,40 @@ func TestDurableLedgerRoundTrip(t *testing.T) {
 	}
 	if p.Seq != 6 {
 		t.Fatalf("post-recovery sale got seq %d, want 6", p.Seq)
+	}
+}
+
+// TestDurableSpanTree checks a durable sale's spans nest as the calls
+// do: store.append under market.ledger_append under market.buy.
+func TestDurableSpanTree(t *testing.T) {
+	b, _, _ := durableBroker(t, t.TempDir(), store.Options{Policy: store.FsyncNever})
+	menu := markettest.Menu(t, b)
+	tr := trace.NewTracer(4)
+	ctx, root := tr.Start(context.Background(), "test.sale")
+	if _, err := b.BuyAtPointContext(ctx, markettest.Model, menu[0].Delta); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	traces := tr.Traces(1)
+	if len(traces) != 1 {
+		t.Fatalf("tracer holds %d traces, want 1", len(traces))
+	}
+	parent := map[string]string{} // span name -> parent span name
+	names := map[string]string{}  // span ID -> span name
+	for _, s := range traces[0].Spans {
+		names[s.SpanID] = s.Name
+	}
+	for _, s := range traces[0].Spans {
+		parent[s.Name] = names[s.ParentID]
+	}
+	for child, want := range map[string]string{
+		"market.buy":           "test.sale",
+		"market.ledger_append": "market.buy",
+		"store.append":         "market.ledger_append",
+	} {
+		if got, ok := parent[child]; !ok || got != want {
+			t.Errorf("span %q has parent %q (recorded: %v), want %q", child, got, ok, want)
+		}
 	}
 }
 
@@ -353,6 +388,64 @@ func TestDurableIdempotentReplayExpiresWithTTL(t *testing.T) {
 	}
 	if p2.Seq == p1.Seq {
 		t.Fatal("fresh sale reused the original sequence number")
+	}
+}
+
+// TestDurableRecoveryKeepsNewestReplays journals more keyed sales than
+// the replay cache holds and restarts: recovery must keep the newest
+// ReplayCapacity keys, whatever order the journal hands them back in,
+// so a retry of any of them replays instead of charging again.
+func TestDurableRecoveryKeepsNewestReplays(t *testing.T) {
+	const extra = 200
+	dir := t.TempDir()
+	opts := store.Options{Policy: store.FsyncNever}
+	b, d, _ := durableBroker(t, dir, opts)
+	menu := markettest.Menu(t, b)
+	start := time.Now().Add(-market.ReplayTTL / 2)
+	var stamp time.Time
+	b.SetClock(func() time.Time { return stamp })
+	ctx := context.Background()
+	seqs := make([]int, market.ReplayCapacity+extra)
+	for i := range seqs {
+		stamp = start.Add(time.Duration(i) * time.Millisecond)
+		p, _, err := b.BuyIdempotent(ctx, fmt.Sprintf("key-%d", i), func(ctx context.Context) (*market.Purchase, error) {
+			return b.BuyAtPointContext(ctx, markettest.Model, menu[0].Delta)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs[i] = p.Seq
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b2, _, rs := durableBroker(t, dir, opts)
+	if rs.Replays != len(seqs) {
+		t.Fatalf("journal kept %d replay entries, want %d", rs.Replays, len(seqs))
+	}
+	// The retry closure fails, so a key that executes fresh leaves
+	// nothing behind and cannot evict the keys still to be checked.
+	errFresh := errors.New("executed fresh")
+	retry := func(ctx context.Context) (*market.Purchase, error) { return nil, errFresh }
+	var charged []int
+	for i := extra; i < len(seqs); i++ {
+		p, replayed, err := b2.BuyIdempotent(ctx, fmt.Sprintf("key-%d", i), retry)
+		switch {
+		case errors.Is(err, errFresh):
+			charged = append(charged, i)
+		case err != nil || !replayed || p.Seq != seqs[i]:
+			t.Fatalf("key-%d = (%+v, %v, %v), want a replay of seq %d", i, p, replayed, err, seqs[i])
+		}
+	}
+	if len(charged) > 0 {
+		t.Fatalf("%d of the newest %d keys executed again after restart (first: key-%d)",
+			len(charged), market.ReplayCapacity, charged[0])
+	}
+	for i := 0; i < extra; i++ {
+		if _, replayed, err := b2.BuyIdempotent(ctx, fmt.Sprintf("key-%d", i), retry); replayed || !errors.Is(err, errFresh) {
+			t.Fatalf("key-%d: replayed=%v err=%v, want a fresh execution of an evicted key", i, replayed, err)
+		}
 	}
 }
 

@@ -805,8 +805,8 @@ func (b *Broker) sell(ctx context.Context, m ml.Model, off *offer, delta float64
 	if key := idempotencyKeyFrom(ctx); key != "" {
 		rep = &pendingReplay{key: key, p: p}
 	}
-	_, ledger := trace.Start(ctx, "market.ledger_append", "seq", strconv.FormatUint(seq, 10))
-	err = b.ledger.record(ctx, tx, rep)
+	lctx, ledger := trace.Start(ctx, "market.ledger_append", "seq", strconv.FormatUint(seq, 10))
+	err = b.ledger.record(lctx, tx, rep)
 	ledger.End()
 	if err != nil {
 		// The journal refused the sale; the buyer must not receive the

@@ -1,7 +1,7 @@
 package resilience
 
 import (
-	"container/list"
+	"container/heap"
 	"context"
 	"sync"
 	"time"
@@ -19,23 +19,55 @@ import (
 // attempt with the same key executes fresh.
 //
 // The cache is bounded two ways: entries expire TTL after completion,
-// and when the entry count exceeds the capacity the oldest completed
-// entries are evicted (in-flight entries are never evicted).
+// and when the entry count exceeds the capacity the earliest-completed
+// entries are evicted, whatever order they were seeded in (in-flight
+// entries are never evicted). Completed entries sit in a min-heap by
+// expiry, so eviction touches only the entries it removes.
 type ReplayCache[V any] struct {
 	mu       sync.Mutex
 	capacity int
 	ttl      time.Duration
 	now      func() time.Time
 	entries  map[string]*replayEntry[V]
-	order    *list.List // completed entry keys, oldest first
+	byExpiry expiryHeap[V] // completed entries, soonest expiry first
+	seq      uint64        // completions so far; orders equal expiries
 }
 
 type replayEntry[V any] struct {
-	done    chan struct{} // closed when the flight completes
-	val     V
-	err     error
+	done chan struct{} // closed when the flight completes
+	val  V
+	err  error
+	key  string
+	// expires has its monotonic reading stripped: journal stamps
+	// handed to Seed carry none, so live entries drop theirs too and
+	// every pair of heap keys compares on the wall clock.
 	expires time.Time
-	elem    *list.Element // position in order once completed
+	seq     uint64 // completion order, first in first out among ties
+}
+
+// expiryHeap orders completed entries by (expires, seq) for
+// container/heap.
+type expiryHeap[V any] []*replayEntry[V]
+
+func (h expiryHeap[V]) Len() int { return len(h) }
+
+func (h expiryHeap[V]) Less(i, j int) bool {
+	if c := h[i].expires.Compare(h[j].expires); c != 0 {
+		return c < 0
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h expiryHeap[V]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+func (h *expiryHeap[V]) Push(x any) { *h = append(*h, x.(*replayEntry[V])) }
+
+func (h *expiryHeap[V]) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return e
 }
 
 // NewReplayCache returns a cache holding at most capacity completed
@@ -52,7 +84,6 @@ func NewReplayCache[V any](capacity int, ttl time.Duration) *ReplayCache[V] {
 		ttl:      ttl,
 		now:      time.Now,
 		entries:  make(map[string]*replayEntry[V]),
-		order:    list.New(),
 	}
 }
 
@@ -79,7 +110,7 @@ func (c *ReplayCache[V]) Do(ctx context.Context, key string, fn func() (V, error
 			return v, false, ctx.Err()
 		}
 	}
-	e := &replayEntry[V]{done: make(chan struct{})}
+	e := &replayEntry[V]{done: make(chan struct{}), key: key}
 	c.entries[key] = e
 	c.mu.Unlock()
 
@@ -92,9 +123,7 @@ func (c *ReplayCache[V]) Do(ctx context.Context, key string, fn func() (V, error
 		// flight still observe the error through the closed channel.
 		delete(c.entries, key)
 	} else {
-		e.expires = c.now().Add(c.ttl)
-		e.elem = c.order.PushBack(key)
-		c.evictLocked()
+		c.completeLocked(e, c.now())
 	}
 	c.mu.Unlock()
 	close(e.done)
@@ -115,15 +144,13 @@ func (c *ReplayCache[V]) Seed(key string, v V, completedAt time.Time) bool {
 	if _, ok := c.entries[key]; ok {
 		return false
 	}
-	expires := completedAt.Add(c.ttl)
-	if !c.now().Before(expires) {
+	if !c.now().Before(completedAt.Add(c.ttl)) {
 		return false
 	}
-	e := &replayEntry[V]{done: make(chan struct{}), val: v, expires: expires}
+	e := &replayEntry[V]{done: make(chan struct{}), val: v, key: key}
 	close(e.done)
-	e.elem = c.order.PushBack(key)
 	c.entries[key] = e
-	c.evictLocked()
+	c.completeLocked(e, completedAt)
 	return true
 }
 
@@ -134,22 +161,27 @@ func (c *ReplayCache[V]) Len() int {
 	return len(c.entries)
 }
 
-// evictLocked removes expired entries and, if still over capacity,
-// the oldest completed entries.
+// completeLocked files e, already in entries, as completed at
+// completedAt and evicts whatever that pushes out.
+func (c *ReplayCache[V]) completeLocked(e *replayEntry[V], completedAt time.Time) {
+	e.expires = completedAt.Add(c.ttl).Round(0)
+	c.seq++
+	e.seq = c.seq
+	heap.Push(&c.byExpiry, e)
+	c.evictLocked()
+}
+
+// evictLocked removes expired entries and, while still over capacity,
+// the earliest-completed ones. Expired entries are the front of the
+// heap, so with nothing to remove this costs one peek.
 func (c *ReplayCache[V]) evictLocked() {
 	now := c.now()
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		key := el.Value.(string)
-		if e := c.entries[key]; e != nil && now.After(e.expires) {
-			delete(c.entries, key)
-			c.order.Remove(el)
+	for len(c.byExpiry) > 0 {
+		e := c.byExpiry[0]
+		if !now.After(e.expires) && len(c.entries) <= c.capacity {
+			return
 		}
-		el = next
-	}
-	for len(c.entries) > c.capacity && c.order.Len() > 0 {
-		el := c.order.Front()
-		delete(c.entries, el.Value.(string))
-		c.order.Remove(el)
+		heap.Pop(&c.byExpiry)
+		delete(c.entries, e.key)
 	}
 }

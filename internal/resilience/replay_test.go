@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,4 +156,71 @@ func TestReplayCacheWaiterHonorsContext(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	close(release)
+}
+
+// replayBenchCapacity is the broker's replay capacity
+// (market.ReplayCapacity).
+const replayBenchCapacity = 4096
+
+// BenchmarkReplayCacheDo times one fresh keyed Do, a sale's path
+// through the cache, with a fixed number of completed entries present.
+// A fake clock moves 2ns per op under a TTL of 2·occupancy+1 ns, so
+// every op finds exactly occupancy earlier completions alive and drops
+// one: the one that just expired, or at full capacity the oldest.
+func BenchmarkReplayCacheDo(b *testing.B) {
+	for _, occupancy := range []int{0, 1024, replayBenchCapacity} {
+		b.Run(fmt.Sprintf("occupancy=%d", occupancy), func(b *testing.B) {
+			clock := newFakeClock()
+			c := NewReplayCache[int](replayBenchCapacity, time.Duration(2*occupancy+1))
+			c.SetClock(clock.now)
+			keys := make([]string, occupancy+b.N)
+			for i := range keys {
+				keys[i] = strconv.Itoa(i)
+			}
+			ctx := context.Background()
+			fn := func() (int, error) { return 1, nil }
+			for _, k := range keys[:occupancy] {
+				c.Do(ctx, k, fn)
+				clock.advance(2)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, k := range keys[occupancy:] {
+				if _, replayed, _ := c.Do(ctx, k, fn); replayed {
+					b.Fatalf("fresh key %s replayed", k)
+				}
+				clock.advance(2)
+			}
+			b.StopTimer()
+			if n, want := c.Len(), min(occupancy+1, replayBenchCapacity); n != want {
+				b.Fatalf("Len = %d after the run, want %d", n, want)
+			}
+		})
+	}
+}
+
+// BenchmarkReplayCacheSeed times rebuilding the cache from a journal
+// as recovery does: 8000 entries, completed a millisecond apart, seeded
+// in shuffled order into an empty cache that keeps the newest 4096.
+func BenchmarkReplayCacheSeed(b *testing.B) {
+	const n = 8000
+	clock := newFakeClock()
+	clock.advance(time.Hour)
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = strconv.Itoa(i)
+	}
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := NewReplayCache[int](replayBenchCapacity, 10*time.Minute)
+		c.SetClock(clock.now)
+		for _, j := range order {
+			c.Seed(keys[j], j, clock.now().Add(time.Duration(j-n)*time.Millisecond))
+		}
+		if c.Len() != replayBenchCapacity {
+			b.Fatalf("Len = %d, want %d", c.Len(), replayBenchCapacity)
+		}
+	}
 }
