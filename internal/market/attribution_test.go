@@ -349,7 +349,7 @@ func TestFollowerRejectsEpochDowngrade(t *testing.T) {
 
 	stakes, _ := validStakes([]SellerStake{{ID: "a", Weight: 3}, {ID: "b", Weight: 1}})
 	stakesRec, _ := json.Marshal(walRecord{Kind: walKindStakes, Stakes: stakes})
-	if err := fa.ApplyRecord(stakesRec); err != nil {
+	if err := fa.ApplyRecords([][]byte{stakesRec}); err != nil {
 		t.Fatal(err)
 	}
 	got := b.SellerStakes()
@@ -361,7 +361,7 @@ func TestFollowerRejectsEpochDowngrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fa.ApplyRecord(v2rec); err != nil {
+	if err := fa.ApplyRecords([][]byte{v2rec}); err != nil {
 		t.Fatal(err)
 	}
 	rep := d.attributionTotals()
@@ -374,7 +374,7 @@ func TestFollowerRejectsEpochDowngrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fa.ApplyRecord(v1rec); !errors.Is(err, errMixedEpoch) {
+	if err := fa.ApplyRecords([][]byte{v1rec}); !errors.Is(err, errMixedEpoch) {
 		t.Fatalf("downgraded record applied: err = %v", err)
 	}
 	if fa.Frames() != framesAfterV2 {

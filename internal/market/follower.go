@@ -114,30 +114,52 @@ func NewFollowerApplier(b *Broker, d *DurableLedger) *FollowerApplier {
 // leader's stream it has durably applied.
 func (fa *FollowerApplier) Frames() uint64 { return fa.d.st.Frames() }
 
-// ApplyRecord journals one replicated record and applies it in memory.
-// Callers (the replica layer) serialize ApplyRecord calls and deliver
-// records in stream order.
-func (fa *FollowerApplier) ApplyRecord(rec []byte) error {
-	// Decode (and validate) before journaling so a malformed record
-	// never advances the frame cursor; the RAW bytes are what get
-	// appended, v2 envelope intact, so the follower's chained stream
-	// digest matches the leader's byte for byte.
-	wr, isV2, err := decodeWALRecord(rec)
-	if err != nil {
-		return fmt.Errorf("market: replicated record: %w", err)
-	}
-	if wr.Kind == walKindTx {
-		// Epoch fence: once this follower has applied an attributed
-		// (v2) sale, a bare v1 sale in the stream means the leader
-		// downgraded to the pre-attribution encoding — refuse it rather
-		// than silently filing sellers' revenue as legacy gross.
-		if err := fa.d.noteTxEpoch(isV2); err != nil {
-			return err
+// ApplyRecords journals a chunk of replicated records with one store
+// Append — one fsync per shipment — and applies them in memory.
+// Records are decoded and validated in stream order, the v2 epoch
+// fence included, before anything is journaled, so a malformed record
+// never advances the frame cursor: the valid prefix before the first
+// bad record is journaled and applied, and then that record's error is
+// returned, exactly as applying the records one at a time would. If
+// the append fails nothing is applied. Callers (the replica layer)
+// serialize ApplyRecords calls and deliver chunks in stream order.
+func (fa *FollowerApplier) ApplyRecords(recs [][]byte) error {
+	valid := make([]walRecord, 0, len(recs))
+	var bad error
+	for _, rec := range recs {
+		wr, isV2, err := decodeWALRecord(rec)
+		if err != nil {
+			bad = fmt.Errorf("market: replicated record: %w", err)
+			break
 		}
+		if wr.Kind == walKindTx {
+			// Epoch fence: once this follower has applied an attributed
+			// (v2) sale, a bare v1 sale in the stream means the leader
+			// downgraded to the pre-attribution encoding — refuse it
+			// rather than silently filing sellers' revenue as legacy
+			// gross.
+			if err := fa.d.noteTxEpoch(isV2); err != nil {
+				bad = err
+				break
+			}
+		}
+		valid = append(valid, wr)
 	}
-	if err := fa.d.st.Append(rec); err != nil {
+	// The RAW bytes are what get appended, v2 envelope intact, so the
+	// follower's chained stream digest matches the leader's byte for
+	// byte.
+	if err := fa.d.st.Append(recs[:len(valid)]...); err != nil {
 		return err
 	}
+	for _, wr := range valid {
+		fa.apply(wr)
+	}
+	return bad
+}
+
+// apply files one journaled record in memory through the same
+// write-through shapes recovery uses.
+func (fa *FollowerApplier) apply(wr walRecord) {
 	switch wr.Kind {
 	case walKindTx:
 		tx := wr.Tx.Transaction
@@ -169,11 +191,10 @@ func (fa *FollowerApplier) ApplyRecord(rec []byte) error {
 		fa.d.mu.Lock()
 		fa.d.stakes = append([]SellerStake(nil), wr.Stakes...)
 		fa.d.mu.Unlock()
-		// Publish without re-journaling (the raw record was just
-		// appended above), same shape as recovery.
+		// Publish without re-journaling (the raw record was already
+		// appended), same shape as recovery.
 		_ = fa.b.applyStakes(wr.Stakes, false)
 	}
-	return nil
 }
 
 // ApplySnapshot installs a leader snapshot a lagging follower was

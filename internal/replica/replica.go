@@ -69,8 +69,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Applier interface {
 	// Frames reports the follower's durably applied frame cursor.
 	Frames() uint64
-	// ApplyRecord journals and applies one record, in stream order.
-	ApplyRecord(rec []byte) error
+	// ApplyRecords journals and applies a chunk of records, in stream
+	// order, with one durable append. On a bad record it keeps the
+	// valid prefix before it and returns the record's error.
+	ApplyRecords(recs [][]byte) error
 	// ApplySnapshot installs a leader snapshot at the given boundary.
 	ApplySnapshot(framesBefore uint64, digest uint32, payload []byte) error
 }
@@ -451,12 +453,10 @@ func (n *Node) HandleFrames(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusPreconditionFailed, framesResponse{Frames: local})
 		return
 	}
-	for i, rec := range records {
-		frame := cursor + uint64(i)
-		if frame < local {
-			continue // already applied; positional dedup
-		}
-		if err := n.cfg.Applier.ApplyRecord(rec); err != nil {
+	// Positional dedup: the first local-cursor records are already
+	// applied; the rest go to the applier as one batch.
+	if skip := local - cursor; skip < uint64(len(records)) {
+		if err := n.cfg.Applier.ApplyRecords(records[skip:]); err != nil {
 			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 			return
 		}

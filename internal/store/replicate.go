@@ -153,80 +153,120 @@ func (s *Store) DigestAt(frames uint64) (uint32, bool) {
 // caught up. A cursor below the newest snapshot boundary returns
 // ErrCompacted: those records no longer exist as frames and the reader
 // must bootstrap from LatestSnapshot instead. Reads do not block
-// appends: file contents are re-scanned (and CRC-checked) outside the
-// store lock, bounded by the committed size captured under it.
+// appends: the frame index pins down, under the store lock, the exact
+// byte ranges of the frames to return, and only those ranges are read
+// and CRC-checked after it is released, so a call costs what it ships,
+// not what the journal holds.
 func (s *Store) ReadFrom(cursor uint64, maxBytes int) ([][]byte, uint64, error) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
-	type segMeta struct{ idx, start uint64 }
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, cursor, ErrClosed
 	}
-	base := s.base
-	head := s.frames.Load()
-	liveIdx, liveSize := s.index, s.size
-	segs := make([]segMeta, 0, len(s.segStart))
-	for idx, start := range s.segStart {
-		segs = append(segs, segMeta{idx: idx, start: start})
-	}
-	s.mu.Unlock()
-
+	base, head := s.base, s.frames.Load()
 	if cursor < base {
+		s.mu.Unlock()
 		return nil, cursor, fmt.Errorf("%w: cursor %d predates snapshot base %d", ErrCompacted, cursor, base)
 	}
 	if cursor >= head {
+		s.mu.Unlock()
 		return nil, cursor, nil
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].idx < segs[j].idx })
-	// Start at the newest segment whose first frame is at or before the
-	// cursor; consecutive segments carry consecutive frame ranges.
-	first := -1
-	for i, sg := range segs {
-		if sg.start <= cursor {
-			first = i
-		}
-	}
-	if first < 0 {
-		return nil, cursor, fmt.Errorf("%w: cursor %d below live segments", ErrCompacted, cursor)
-	}
-	var out [][]byte
-	next := cursor
-	for i := first; i < len(segs) && next < head; i++ {
-		sg := segs[i]
-		buf, err := os.ReadFile(filepath.Join(s.dir, segName(sg.idx)))
-		if err != nil {
-			// A concurrent compaction can delete the segment between the
-			// metadata capture and this read; the caller falls back to a
-			// snapshot bootstrap exactly as for a stale cursor.
-			return nil, cursor, fmt.Errorf("%w: %v", ErrCompacted, err)
-		}
-		if sg.idx == liveIdx && int64(len(buf)) > liveSize {
-			buf = buf[:liveSize] // never past the committed size
-		}
-		records, _, err := scanFrames(buf, segName(sg.idx), true)
+	ranges, count := s.planReadLocked(cursor, maxBytes)
+	s.mu.Unlock()
+
+	out := make([][]byte, 0, count)
+	for _, r := range ranges {
+		recs, err := s.readRange(r)
 		if err != nil {
 			return nil, cursor, err
 		}
-		for j, rec := range records {
-			frame := sg.start + uint64(j)
-			if frame < next {
-				continue // duplicate delivery guard: already consumed
-			}
-			if frame >= head {
-				break
-			}
-			out = append(out, rec)
-			next = frame + 1
-			maxBytes -= len(rec)
-			if maxBytes <= 0 {
-				return out, next, nil
-			}
-		}
+		out = append(out, recs...)
 	}
-	return out, next, nil
+	return out, cursor + uint64(len(out)), nil
+}
+
+// frameRange is a run of consecutive committed frames within one
+// segment: bytes [off, end) of it, holding frames frames.
+type frameRange struct {
+	idx      uint64
+	off, end int64
+	frames   int
+}
+
+// planReadLocked walks the frame index from cursor (which must be in
+// [base, head)) and returns the byte ranges of the frames one ReadFrom
+// call returns: consecutive frames, possibly spanning segments, until
+// their payloads reach maxBytes (the frame that reaches it included)
+// or the index ends. count is the total number of frames. Callers
+// hold s.mu.
+func (s *Store) planReadLocked(cursor uint64, maxBytes int) (ranges []frameRange, count int) {
+	// The newest segment whose first frame is at or before the cursor
+	// (one exists: cursor >= base, the first live segment's first
+	// frame); consecutive segments carry consecutive frame ranges.
+	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].first > cursor }) - 1
+	for ; i < len(s.segs) && maxBytes > 0; i++ {
+		seg := &s.segs[i]
+		k := int(cursor + uint64(count) - seg.first)
+		if k >= len(seg.ends) {
+			continue // the cursor sits at this segment's end
+		}
+		r := frameRange{idx: seg.idx}
+		if k > 0 {
+			r.off = seg.ends[k-1]
+		}
+		r.end = r.off
+		for ; k < len(seg.ends) && maxBytes > 0; k++ {
+			maxBytes -= int(seg.ends[k] - r.end - frameHeaderSize)
+			r.end = seg.ends[k]
+			r.frames++
+		}
+		ranges = append(ranges, r)
+		count += r.frames
+	}
+	return ranges, count
+}
+
+// readRange reads one planned range with a single positioned read and
+// strictly CRC-checks every frame in it. A segment deleted since the
+// plan was made (a concurrent compaction) reports ErrCompacted; bytes
+// that do not hold exactly the frames the index promised are a
+// *CorruptError.
+func (s *Store) readRange(r frameRange) ([][]byte, error) {
+	name := segName(r.idx)
+	f, err := os.Open(filepath.Join(s.dir, name))
+	if errors.Is(err, os.ErrNotExist) {
+		// The caller falls back to a snapshot bootstrap exactly as for a
+		// stale cursor.
+		return nil, fmt.Errorf("%w: %v", ErrCompacted, err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: opening %s: %w", name, err)
+	}
+	defer f.Close()
+	buf := make([]byte, r.end-r.off)
+	if _, err := f.ReadAt(buf, r.off); errors.Is(err, io.EOF) {
+		return nil, &CorruptError{Segment: name, Offset: r.off, Reason: "segment shorter than its frame index"}
+	} else if err != nil {
+		return nil, fmt.Errorf("store: reading %s: %w", name, err)
+	}
+	records, _, err := scanFrames(buf, name, false)
+	var ce *CorruptError
+	if errors.As(err, &ce) {
+		ce.Offset += r.off
+		return nil, ce
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(records) != r.frames {
+		return nil, &CorruptError{Segment: name, Offset: r.off,
+			Reason: fmt.Sprintf("frame index promised %d frames, found %d", r.frames, len(records))}
+	}
+	return records, nil
 }
 
 // LatestSnapshot returns the newest snapshot's frame boundary, stream
@@ -317,7 +357,7 @@ func (s *Store) InstallSnapshot(framesBefore uint64, digest uint32, payload io.R
 	s.base = framesBefore
 	s.frames.Store(framesBefore)
 	s.digest.Store(digest)
-	s.segStart = map[uint64]uint64{boundary: framesBefore}
+	s.segs = []liveSeg{{idx: boundary, first: framesBefore}}
 	s.ring = make([]digestPoint, digestRingSize)
 	s.ringHead = 0
 	s.pushDigestLocked()

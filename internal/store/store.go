@@ -76,7 +76,8 @@ func ParsePolicy(s string) (Policy, error) {
 // metrics package. Nil fields are skipped. Callbacks run inside the
 // append lock: keep them O(1) (atomic counter bumps).
 type Hooks struct {
-	// OnAppend fires after each successful append with its latency.
+	// OnAppend fires once per record after each successful Append,
+	// with the latency of the call that committed it.
 	OnAppend func(d time.Duration)
 	// OnFsync fires after each successful fsync of the live segment.
 	OnFsync func()
@@ -85,13 +86,14 @@ type Hooks struct {
 // Faults intercept the write path for fault injection (the chaos
 // harness wires resilience.Chaos here). Nil fields are no-ops.
 type Faults struct {
-	// Write is consulted with the framed bytes about to be appended.
-	// (len(frame), nil) proceeds normally. (0, err) fails the append
-	// cleanly — nothing hits disk, the store stays healthy. (n, err)
-	// with 0 < n < len(frame) simulates a crash mid-write: the first n
-	// bytes land on disk as a torn frame and the store fails
-	// permanently, exactly as if the process had died — recovery on
-	// reopen truncates the tear.
+	// Write is consulted with the framed bytes one Append is about to
+	// write (every frame of the call, in order). (len(frame), nil)
+	// proceeds normally. (0, err) fails the append cleanly — nothing
+	// hits disk, the store stays healthy. (n, err) with
+	// 0 < n < len(frame) simulates a crash mid-write: the first n bytes
+	// land on disk and the store fails permanently, exactly as if the
+	// process had died — recovery on reopen keeps the whole frames among
+	// them and truncates the torn one.
 	Write func(frame []byte) (n int, err error)
 	// Sync is consulted before each fsync; a non-nil error fails it.
 	Sync func() error
@@ -179,15 +181,26 @@ type Store struct {
 	// base + everything appended since), identical across replicas
 	// because every node appends the same record sequence. digest chains
 	// a CRC32C over every payload in stream order; epoch is the
-	// persisted leader-fencing epoch. base, segStart and the digest ring
-	// are guarded by mu.
+	// persisted leader-fencing epoch. base, segs and the digest ring are
+	// guarded by mu.
 	frames   atomic.Uint64
 	digest   atomic.Uint32
 	epoch    atomic.Uint64
-	base     uint64            // frames covered by the newest snapshot
-	segStart map[uint64]uint64 // segment index → global frame index of its first record
-	ring     []digestPoint     // recent (frames, digest) pairs for divergence audits
+	base     uint64        // frames covered by the newest snapshot
+	segs     []liveSeg     // frame index of the live segments, oldest first; the last is being appended to
+	ring     []digestPoint // recent (frames, digest) pairs for divergence audits
 	ringHead int
+}
+
+// liveSeg is the frame index of one live segment: the global frame
+// number of its first record and the end offset of every committed
+// frame in it, so frame first+k occupies bytes [ends[k-1], ends[k])
+// (from 0 for k = 0). ReadFrom uses it to read exactly the frames it
+// returns; it costs 8 bytes per frame.
+type liveSeg struct {
+	idx   uint64
+	first uint64
+	ends  []int64
 }
 
 // Open opens (creating if needed) the store in dir and replays its
@@ -208,6 +221,9 @@ func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, stats, fmt.Errorf("store: creating %s: %w", dir, err)
+	}
+	if err := removeTmp(dir); err != nil {
+		return nil, stats, err
 	}
 	segs, snaps, err := scanDir(dir)
 	if err != nil {
@@ -235,14 +251,15 @@ func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func
 	// Rebuild the logical frame cursor as the segments replay: the
 	// snapshot header anchors the base, each valid record advances the
 	// cursor and folds its payload into the stream digest, and every
-	// segment remembers which global frame it starts at so ReadFrom can
-	// seek a cursor to a file position.
+	// segment's frame index records where it starts in the stream and
+	// where each of its frames ends, so ReadFrom can seek a cursor to a
+	// file position.
 	digest := hdr.Digest
-	segStart := make(map[uint64]uint64, len(live)+1)
+	frameIndex := make([]liveSeg, 0, len(live)+1)
 	for i, idx := range live {
 		name := segName(idx)
 		last := i == len(live)-1
-		segStart[idx] = hdr.FramesBefore + uint64(stats.Records)
+		seg := liveSeg{idx: idx, first: hdr.FramesBefore + uint64(stats.Records)}
 		buf, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, stats, fmt.Errorf("store: reading segment %s: %w", name, err)
@@ -258,7 +275,11 @@ func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func
 			stats.TruncatedBytes += torn
 		}
 		stats.Segments++
+		seg.ends = make([]int64, 0, len(records))
+		end := int64(0)
 		for _, rec := range records {
+			end += frameHeaderSize + int64(len(rec))
+			seg.ends = append(seg.ends, end)
 			stats.Records++
 			digest = crc32.Update(digest, castagnoli, rec)
 			if onRecord != nil {
@@ -267,6 +288,7 @@ func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func
 				}
 			}
 		}
+		frameIndex = append(frameIndex, seg)
 	}
 
 	s := &Store{
@@ -301,10 +323,10 @@ func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func
 	s.base = hdr.FramesBefore
 	s.frames.Store(hdr.FramesBefore + uint64(stats.Records))
 	s.digest.Store(digest)
-	if _, ok := segStart[s.index]; !ok {
-		segStart[s.index] = s.frames.Load()
+	if len(live) == 0 {
+		frameIndex = append(frameIndex, liveSeg{idx: s.index, first: s.frames.Load()})
 	}
-	s.segStart = segStart
+	s.segs = frameIndex
 	s.ring = make([]digestPoint, digestRingSize)
 	s.pushDigestLocked()
 	epoch, err := readEpoch(dir)
@@ -322,6 +344,23 @@ func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func
 	return s, stats, nil
 }
 
+// removeTmp deletes the .tmp files a snapshot or epoch update leaves
+// behind when it crashes before its atomic rename. Only Open may do
+// this: on a live store, Snapshot, InstallSnapshot or SetEpoch may be
+// writing one while a reader lists the directory.
+func removeTmp(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("store: listing %s: %w", dir, err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+	return nil
+}
+
 // scanDir lists segment and snapshot indices, each sorted ascending.
 func scanDir(dir string) (segs, snaps []uint64, err error) {
 	entries, err := os.ReadDir(dir)
@@ -331,9 +370,6 @@ func scanDir(dir string) (segs, snaps []uint64, err error) {
 	for _, e := range entries {
 		name := e.Name()
 		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			// A snapshot that crashed before its atomic rename.
-			os.Remove(filepath.Join(dir, name))
 		case strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix):
 			if idx, err := parseIndex(name, segPrefix, segSuffix); err == nil {
 				segs = append(segs, idx)
@@ -431,19 +467,26 @@ func (s *Store) fail(err error) {
 	}
 }
 
-// Append journals one record. Under FsyncAlways the record is durable
-// when Append returns; under the other policies it is durable after
-// the next background sync, rotation, snapshot or Close. On a clean
-// write failure the log is repaired (truncated back to the last good
-// frame) and the error returned — the record is guaranteed absent, so
-// a caller that did not acknowledge its client can safely fail the
-// operation. Only an unrepairable file leaves the store failed.
-func (s *Store) Append(rec []byte) error {
-	if len(rec) == 0 {
-		return errors.New("store: empty record")
+// Append journals records, in order, with one write and (under
+// FsyncAlways) one fsync. Under FsyncAlways they are durable when
+// Append returns; under the other policies they are durable after the
+// next background sync, rotation, snapshot or Close. On a clean write
+// or fsync failure the log is repaired (truncated back to its size
+// before the call) and the error returned — none of the records
+// counts, so a caller that did not acknowledge its client can safely
+// fail the operation. Only an unrepairable file leaves the store
+// failed. Appending no records is a no-op.
+func (s *Store) Append(recs ...[]byte) error {
+	for _, rec := range recs {
+		if len(rec) == 0 {
+			return errors.New("store: empty record")
+		}
+		if len(rec) > maxRecordBytes {
+			return fmt.Errorf("store: record of %d bytes exceeds the %d-byte cap", len(rec), maxRecordBytes)
+		}
 	}
-	if len(rec) > maxRecordBytes {
-		return fmt.Errorf("store: record of %d bytes exceeds the %d-byte cap", len(rec), maxRecordBytes)
+	if len(recs) == 0 {
+		return nil
 	}
 	start := time.Now()
 	s.mu.Lock()
@@ -454,33 +497,37 @@ func (s *Store) Append(rec []byte) error {
 	if s.failErr != nil {
 		return fmt.Errorf("store: unavailable after earlier failure: %w", s.failErr)
 	}
-	s.scratch = appendFrame(s.scratch[:0], rec)
-	frame := s.scratch
+	s.scratch = s.scratch[:0]
+	for _, rec := range recs {
+		s.scratch = appendFrame(s.scratch, rec)
+	}
+	frames := s.scratch
 	if s.faults != nil && s.faults.Write != nil {
-		n, ferr := s.faults.Write(frame)
+		n, ferr := s.faults.Write(frames)
 		if ferr != nil {
 			if n <= 0 {
 				// Clean injected failure: nothing written, store healthy.
 				return fmt.Errorf("store: append: %w", ferr)
 			}
-			// Torn write: the simulated crash leaves a partial frame on
+			// Torn write: the simulated crash leaves a partial write on
 			// disk and takes the store down with it.
-			if n > len(frame) {
-				n = len(frame)
+			if n > len(frames) {
+				n = len(frames)
 			}
-			s.f.Write(frame[:n])
+			s.f.Write(frames[:n])
 			s.fail(fmt.Errorf("store: torn write: %w", ferr))
 			return s.failErr
 		}
 	}
-	if err := s.writeFrame(frame); err != nil {
+	before := s.size
+	if err := s.writeFrames(frames); err != nil {
 		return err
 	}
 	if s.policy == FsyncAlways {
 		if err := s.syncLocked(); err != nil {
-			// The frame's durability is unknown; scrub it so a sale the
+			// The frames' durability is unknown; scrub them so a sale the
 			// buyer was never charged for cannot resurface at recovery.
-			if terr := s.truncateTo(s.size - int64(len(frame))); terr != nil {
+			if terr := s.truncateTo(before); terr != nil {
 				s.fail(fmt.Errorf("store: repairing after fsync failure: %w", terr))
 				return s.failErr
 			}
@@ -492,14 +539,25 @@ func (s *Store) Append(rec []byte) error {
 			s.dirtySince = start
 		}
 	}
-	// The record is committed: advance the logical frame cursor and fold
-	// the payload into the stream digest (both after the durability
-	// barrier, so a scrubbed frame is never counted).
-	s.digest.Store(crc32.Update(s.digest.Load(), castagnoli, rec))
-	s.frames.Add(1)
-	s.pushDigestLocked()
+	// The records are committed: index their frames, advance the logical
+	// frame cursor and fold each payload into the stream digest (all
+	// after the durability barrier, so a scrubbed frame is never
+	// counted). The digest ring gets every intermediate cursor, so a
+	// follower's digest can be audited at any frame it stops at.
+	seg := &s.segs[len(s.segs)-1]
+	end := before
+	for _, rec := range recs {
+		end += frameHeaderSize + int64(len(rec))
+		seg.ends = append(seg.ends, end)
+		s.digest.Store(crc32.Update(s.digest.Load(), castagnoli, rec))
+		s.frames.Add(1)
+		s.pushDigestLocked()
+	}
 	if s.hooks.OnAppend != nil {
-		s.hooks.OnAppend(time.Since(start))
+		el := time.Since(start)
+		for range recs {
+			s.hooks.OnAppend(el)
+		}
 	}
 	if s.size >= s.segBytes {
 		if err := s.rotateLocked(); err != nil {
@@ -510,12 +568,12 @@ func (s *Store) Append(rec []byte) error {
 	return nil
 }
 
-// writeFrame writes frame to the live segment, repairing (truncating
-// back) on a short write so the log never carries a half frame that a
-// later append would bury mid-log.
-func (s *Store) writeFrame(frame []byte) error {
-	n, err := s.f.Write(frame)
-	if err != nil || n != len(frame) {
+// writeFrames writes framed bytes to the live segment, repairing
+// (truncating back) on a short write so the log never carries a half
+// frame that a later append would bury mid-log.
+func (s *Store) writeFrames(frames []byte) error {
+	n, err := s.f.Write(frames)
+	if err != nil || n != len(frames) {
 		if terr := s.truncateTo(s.size); terr != nil {
 			s.fail(fmt.Errorf("store: repairing short write: %w", terr))
 			return s.failErr
@@ -602,7 +660,7 @@ func (s *Store) rotateLocked() error {
 	}
 	s.f, s.size = f, 0
 	s.dirty.Store(false)
-	s.segStart[s.index] = s.frames.Load()
+	s.segs = append(s.segs, liveSeg{idx: s.index, first: s.frames.Load()})
 	return s.syncDir()
 }
 
@@ -687,13 +745,10 @@ func (s *Store) Snapshot(write func(w io.Writer) error) error {
 	if err := s.syncDir(); err != nil {
 		return fmt.Errorf("store: syncing directory after snapshot: %w", err)
 	}
-	// The snapshot now owns everything before the boundary.
+	// The snapshot now owns everything before the boundary; the segment
+	// rotateLocked just opened is the only live one left.
 	s.base = hdr.FramesBefore
-	for idx := range s.segStart {
-		if idx < boundary {
-			delete(s.segStart, idx)
-		}
-	}
+	s.segs = []liveSeg{s.segs[len(s.segs)-1]}
 	segs, snaps, err := scanDir(s.dir)
 	if err == nil {
 		s.removeObsolete(segs, snaps, boundary)

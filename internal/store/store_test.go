@@ -414,6 +414,14 @@ func TestHooksCount(t *testing.T) {
 	if fsyncs < 3 {
 		t.Fatalf("OnFsync fired %d times, want >= 3 under FsyncAlways", fsyncs)
 	}
+	// A multi-record append fires OnAppend per record and fsyncs once.
+	fsyncs = 0
+	if err := s.Append([]byte("d"), []byte("e")); err != nil {
+		t.Fatal(err)
+	}
+	if appends != 5 || fsyncs != 1 {
+		t.Fatalf("two-record append: OnAppend total %d, OnFsync %d; want 5 and 1", appends, fsyncs)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
