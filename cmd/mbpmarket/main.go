@@ -98,7 +98,7 @@ func main() {
 		save    = flag.String("save", "", "after training, dump the offers to this file")
 		load    = flag.String("load", "", "warm-start: restore offers from a -save dump instead of retraining")
 		metrics = flag.Bool("metrics", true, "instrument requests and serve GET /metrics")
-		traces  = flag.Bool("traces", true, "record request span trees and serve GET /debug/traces")
+		traces  = flag.Bool("traces", true, "record request span trees and serve GET /debug/traces; false records no spans at all")
 		pprofOn = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 
 		storeDir = flag.String("store-dir", "", "durable state directory: journal every sale to a WAL and recover ledger + offers on restart")
@@ -156,7 +156,12 @@ func main() {
 		opts = append(opts, httpapi.WithoutMetrics())
 	}
 	if !*traces {
+		// Nothing records: requests are served untraced, and background
+		// work (training, audit sweeps, repricing epochs) finds no
+		// default tracer. The auditor and repricer read trace.Default
+		// when they are built, below.
 		opts = append(opts, httpapi.WithoutTracing())
+		trace.Default = nil
 	}
 	if *reqTimeout > 0 {
 		opts = append(opts, httpapi.WithRequestTimeout(*reqTimeout))

@@ -76,7 +76,9 @@ func WithoutMetrics() Option { return func(c *config) { c.metrics = false } }
 func WithTracer(t *trace.Tracer) Option { return func(c *config) { c.tracer = t } }
 
 // WithoutTracing disables span creation and the /debug/traces
-// endpoint.
+// endpoint. Each request's context is marked with
+// trace.ContextWithoutTracing, so no layer under it records a span
+// either.
 func WithoutTracing() Option { return func(c *config) { c.tracer = nil } }
 
 // WithLogger directs request logs (and handler diagnostics) at l
@@ -137,7 +139,8 @@ func wrapWriter(w http.ResponseWriter) (http.ResponseWriter, *statusRecorder) {
 }
 
 // instrument wraps a handler with the per-request observability stack:
-// a server span continuing any inbound traceparent, per-route request
+// a server span continuing any inbound traceparent (or, with tracing
+// disabled, a context under which nothing records), per-route request
 // metrics (resolved once here, at route registration, so each request
 // costs only atomic updates), and one structured access-log line
 // correlated to the span by trace_id. The resilience middleware
@@ -159,7 +162,9 @@ func (c *config) instrument(route string, next http.HandlerFunc) http.HandlerFun
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ctx := r.Context()
-		if sc, ok := trace.Extract(r.Header); ok {
+		if tracer == nil {
+			ctx = trace.ContextWithoutTracing(ctx)
+		} else if sc, ok := trace.Extract(r.Header); ok {
 			ctx = trace.ContextWithRemote(ctx, sc)
 		}
 		ctx, span := tracer.Start(ctx, r.Method+" "+route, "route", route, "method", r.Method)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"github.com/datamarket/mbp/internal/market/markettest"
 	"github.com/datamarket/mbp/internal/obs"
 	"github.com/datamarket/mbp/internal/obs/trace"
+	"github.com/datamarket/mbp/internal/store"
 
 	"log/slog"
 )
@@ -178,5 +180,41 @@ func TestWithoutTracing(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/debug/traces without tracing: status %d", resp.StatusCode)
+	}
+}
+
+// TestWithoutTracingRecordsNothing: with tracing disabled, no layer
+// under a request records a span. Not the route span, and not the
+// market, pricing, noise or store spans, which find no parent and would
+// otherwise each open a root trace on trace.Default.
+func TestWithoutTracingRecordsNothing(t *testing.T) {
+	b := markettest.Broker(t, 4)
+	d, rs, err := market.OpenDurableLedger(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	b.AttachDurableLedger(d, rs)
+
+	prev := trace.Default
+	trace.Default = trace.NewTracer(16)
+	t.Cleanup(func() { trace.Default = prev })
+
+	ts := httptest.NewServer(New(b, WithRegistry(obs.NewRegistry()), WithoutTracing()).Mux())
+	defer ts.Close()
+	var curve CurveResponse
+	getJSON(t, ts.URL+"/curve?model=linear-regression", http.StatusOK, &curve)
+	delta := curve.Curve[1].Delta
+	getJSON(t, ts.URL+"/quote?model=linear-regression&delta="+strconv.FormatFloat(delta, 'g', -1, 64), http.StatusOK, nil)
+	resp := postBuy(t, ts.URL+"/buy", BuyRequest{Model: "linear-regression", Delta: f(delta)}, "untraced-1")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("keyed /buy: status %d", resp.StatusCode)
+	}
+	if n := len(b.Ledger()); n != 1 {
+		t.Fatalf("ledger rows = %d, want 1", n)
+	}
+	if st := trace.Default.Stats(); st.Stored != 0 || st.Pending != 0 {
+		t.Fatalf("trace.Default recorded under WithoutTracing: %+v", st)
 	}
 }

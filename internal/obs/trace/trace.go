@@ -29,7 +29,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"time"
 )
 
@@ -114,21 +113,29 @@ type Attr struct {
 	Key, Value string
 }
 
+// inlineAttrs is how many attributes a span holds without allocating:
+// the HTTP route span carries three (route, method, status).
+const inlineAttrs = 4
+
 // Span is one timed operation in a trace. Spans are created by Start
-// and recorded into their tracer's ring when the last open span of the
-// trace Ends. All methods are safe on a nil receiver (no-ops), so
+// and filed, as they are, into their trace's buffer when they End; the
+// buffer moves into its tracer's ring when the trace's last open span
+// ends. IDs, attribute maps and records are rendered only when someone
+// reads the ring. All methods are safe on a nil receiver (no-ops), so
 // disabled tracing costs callers nothing.
 type Span struct {
-	tracer *Tracer
+	buf    *traceBuf
 	name   string
 	sc     SpanContext
 	parent SpanID
 	remote bool // parent arrived over the wire (traceparent)
 	start  time.Time
 
-	mu    sync.Mutex
-	attrs []Attr
-	ended bool
+	// Guarded by buf.mu until the span ends; immutable after.
+	ended  bool
+	dur    time.Duration
+	attrs  []Attr // backed by inline until it outgrows it
+	inline [inlineAttrs]Attr
 }
 
 // Context returns the span's propagated identity (zero for nil spans).
@@ -144,8 +151,8 @@ func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.buf.mu.Lock()
+	defer s.buf.mu.Unlock()
 	if !s.ended {
 		s.attrs = append(s.attrs, Attr{key, value})
 	}
@@ -157,38 +164,28 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
+	d := time.Since(s.start)
+	if b := s.buf; b.file(s, d) {
+		b.tracer.store(b)
 	}
-	s.ended = true
-	rec := SpanRecord{
-		TraceID:         s.sc.TraceID.String(),
-		SpanID:          s.sc.SpanID.String(),
-		Name:            s.name,
-		Start:           s.start,
-		DurationSeconds: time.Since(s.start).Seconds(),
-		RemoteParent:    s.remote,
-	}
-	if !s.parent.IsZero() {
-		rec.ParentID = s.parent.String()
-	}
-	if len(s.attrs) > 0 {
-		rec.Attrs = make(map[string]string, len(s.attrs))
-		for _, a := range s.attrs {
-			rec.Attrs[a.Key] = a.Value
-		}
-	}
-	s.mu.Unlock()
-	s.tracer.finish(s.sc.TraceID, rec)
 }
 
 type spanKey struct{}
 
+// tracingOff is stored under spanKey by ContextWithoutTracing.
+type tracingOff struct{}
+
 // ContextWithSpan returns a context carrying the span.
 func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 	return context.WithValue(ctx, spanKey{}, s)
+}
+
+// ContextWithoutTracing returns a context under which Start records
+// nothing: every span started from it, or from a context derived from
+// it, is nil, whatever the tracer. A server with tracing disabled marks
+// each request this way, so the layers under it stay silent too.
+func ContextWithoutTracing(ctx context.Context) context.Context {
+	return context.WithValue(ctx, spanKey{}, tracingOff{})
 }
 
 // FromContext returns the span in ctx, or nil.
@@ -224,24 +221,34 @@ func Start(ctx context.Context, name string, kv ...string) (context.Context, *Sp
 // parent it continues a remote SpanContext stored by ContextWithRemote
 // (the traceparent hop), and with neither it begins a new trace on t.
 // A child always lands on its parent's tracer, never splitting one
-// request tree across ring buffers. A nil tracer records nothing and
-// returns (ctx, nil); the nil span is safe to use.
+// request tree across ring buffers. A nil tracer, or a ctx marked by
+// ContextWithoutTracing, records nothing and returns (ctx, nil); the
+// nil span is safe to use.
 func (t *Tracer) Start(ctx context.Context, name string, kv ...string) (context.Context, *Span) {
 	if len(kv)%2 != 0 {
 		panic("trace: Start needs alternating key, value attribute pairs")
 	}
-	parent := FromContext(ctx)
+	var parent *Span
+	switch v := ctx.Value(spanKey{}).(type) {
+	case *Span:
+		parent = v
+	case tracingOff:
+		return ctx, nil
+	}
 	if parent != nil {
-		t = parent.tracer
+		t = parent.buf.tracer
 	}
 	if t == nil {
 		return ctx, nil
 	}
-	s := &Span{tracer: t, name: name, start: time.Now()}
+	s := &Span{name: name, start: time.Now()}
 	switch {
 	case parent != nil:
 		s.sc.TraceID = parent.sc.TraceID
 		s.parent = parent.sc.SpanID
+		if parent.buf.join() {
+			s.buf = parent.buf
+		}
 	default:
 		if rc, ok := RemoteFromContext(ctx); ok {
 			s.sc.TraceID = rc.TraceID
@@ -252,11 +259,12 @@ func (t *Tracer) Start(ctx context.Context, name string, kv ...string) (context.
 		}
 	}
 	s.sc.SpanID = newSpanID()
+	s.attrs = s.inline[:0]
 	for i := 0; i+1 < len(kv); i += 2 {
 		s.attrs = append(s.attrs, Attr{kv[i], kv[i+1]})
 	}
-	if !t.register(s.sc.TraceID) {
-		return ctx, nil
+	if s.buf == nil {
+		s.buf = t.newBuf(s.sc.TraceID)
 	}
 	return ContextWithSpan(ctx, s), s
 }
