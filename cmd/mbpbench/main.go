@@ -1,24 +1,20 @@
 // Command mbpbench regenerates the paper's evaluation artifacts (Table 3
-// and Figures 6–10) from scratch.
+// and Figures 5–10) and the extension experiments from scratch.
 //
 // Usage:
 //
 //	mbpbench -experiment all
 //	mbpbench -experiment fig6 -scale 0.01 -samples 2000
 //	mbpbench -experiment fig9 -maxn 10 -csv results/
-//	mbpbench -throughput -throughput-out BENCH_throughput.json
 //
 // Each experiment prints the numeric series behind the corresponding
-// plot; -csv additionally writes one CSV per panel. -throughput skips
-// the paper experiments and instead measures the broker's serving hot
-// path (serial vs parallel Quote/Buy ops/sec), emitting a JSON report.
+// plot; -csv additionally writes one CSV per panel.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"github.com/datamarket/mbp/internal/experiments"
 )
@@ -33,21 +29,8 @@ func main() {
 		csvDir  = flag.String("csv", "", "directory for per-panel CSV output (optional)")
 		svgDir  = flag.String("svg", "", "directory for rendered SVG charts (optional)")
 		maxN    = flag.Int("maxn", 10, "largest number of price points in the Figure 9/10 sweeps")
-
-		throughput    = flag.Bool("throughput", false, "measure broker serving throughput instead of running experiments")
-		throughputOut = flag.String("throughput-out", "BENCH_throughput.json", "output file for the throughput report (- = stdout)")
-		throughputDur = flag.Duration("throughput-duration", 2*time.Second, "measurement window per throughput phase")
-		throughputPar = flag.Int("throughput-workers", 0, "parallel worker count for the throughput sweep (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-
-	if *throughput {
-		if err := runThroughput(*throughputOut, *throughputDur, *throughputPar); err != nil {
-			fmt.Fprintln(os.Stderr, "mbpbench: throughput:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	cfg := experiments.Config{
 		Out:            os.Stdout,

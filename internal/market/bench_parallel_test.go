@@ -4,8 +4,8 @@ package market_test
 // Serial variants are the single-goroutine baselines the acceptance
 // bar compares against: at GOMAXPROCS=8, BenchmarkBrokerParallelBuy is
 // expected to clear 3× BenchmarkBrokerSerialBuy on the same fixture,
-// since quotes and buys no longer serialize on Broker.mu. cmd/mbpbench
-// -throughput runs the same fixture and emits BENCH_throughput.json.
+// since quotes and buys no longer serialize on Broker.mu. Serving speed
+// over HTTP is measured by the perfbench module (docs/performance.md).
 
 import (
 	"testing"
