@@ -24,6 +24,7 @@
 package replica
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,6 +33,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -107,7 +109,8 @@ type Config struct {
 	// ChunkBytes bounds one shipment's payload. Default 256 KiB.
 	ChunkBytes int
 	// Poll is the tail-follow poll interval when caught up. Default
-	// 10ms.
+	// 10ms. A quorum waiter cuts it short for the shippers it needs
+	// (WaitQuorum); the others ship on the poll.
 	Poll time.Duration
 	// Chaos, when set, injects partition/latency faults on the
 	// shipping hop.
@@ -318,13 +321,19 @@ func (n *Node) noteAck(target string, frames uint64) {
 // WaitQuorum blocks until a majority of the cluster durably holds
 // every frame the local store holds right now, or ctx expires. The
 // goal is captured at entry; acks are monotone, so waiting on the
-// current head also covers every earlier frame.
+// current head also covers every earlier frame. If the quorum is not
+// met yet, it wakes the shippers of the quorumNeed targets that have
+// acked furthest, so the ack costs one round trip rather than a wait
+// for their idle poll; the other shippers keep polling and batching.
+// A woken target that has died stops acking, and the live one that
+// acks past it on its next poll is woken from then on.
 func (n *Node) WaitQuorum(ctx context.Context) error {
 	need := n.quorumNeed()
 	if need <= 0 {
 		return nil
 	}
 	goal := n.cfg.Store.Frames()
+	woken := false
 	for {
 		n.ackMu.Lock()
 		got := 0
@@ -338,10 +347,34 @@ func (n *Node) WaitQuorum(ctx context.Context) error {
 		if got >= need {
 			return nil
 		}
+		if !woken {
+			n.wakeFurthest(need)
+			woken = true
+		}
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("replica: %d/%d follower acks at frame %d: %w", got, need, goal, ctx.Err())
 		case <-ch:
+		}
+	}
+}
+
+// wakeFurthest wakes the shippers of the need targets that have acked
+// furthest, ties in Targets order. The send never blocks: a shipper
+// whose wake slot is full is already due to step.
+func (n *Node) wakeFurthest(need int) {
+	n.leadMu.Lock()
+	shippers := append([]*shipper(nil), n.shippers...)
+	n.leadMu.Unlock()
+	n.ackMu.Lock()
+	slices.SortStableFunc(shippers, func(a, b *shipper) int {
+		return cmp.Compare(n.acked[b.target], n.acked[a.target])
+	})
+	n.ackMu.Unlock()
+	for _, s := range shippers[:min(need, len(shippers))] {
+		select {
+		case s.wake <- struct{}{}:
+		default:
 		}
 	}
 }

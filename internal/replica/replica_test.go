@@ -26,16 +26,17 @@ import (
 )
 
 // clusterNode is one in-process replica: broker, durable ledger, and
-// the replication endpoint.
+// the replication endpoint. srv is a follower's wire-protocol server.
 type clusterNode struct {
 	b    *market.Broker
 	d    *market.DurableLedger
 	node *replica.Node
 	url  string
+	srv  *httptest.Server
 }
 
 // newFollower builds a follower serving the replica wire protocol.
-func newFollower(t *testing.T, o store.Options) *clusterNode {
+func newFollower(t testing.TB, o store.Options) *clusterNode {
 	t.Helper()
 	b := markettest.Broker(t, 1)
 	d, rs, err := market.OpenDurableLedger(t.TempDir(), o)
@@ -62,12 +63,12 @@ func newFollower(t *testing.T, o store.Options) *clusterNode {
 	mux.HandleFunc("/replica/snapshot", n.HandleSnapshot)
 	mux.HandleFunc("/replica/status", n.HandleStatus)
 	mux.HandleFunc("/admin/promote", n.HandlePromote)
-	return &clusterNode{b: b, d: d, node: n, url: srv.URL}
+	return &clusterNode{b: b, d: d, node: n, url: srv.URL, srv: srv}
 }
 
 // newLeader builds a leader shipping to targets. cfg supplies the
 // replication knobs; Store/Broker/Targets are wired here.
-func newLeader(t *testing.T, targets []string, o store.Options, cfg replica.Config) *clusterNode {
+func newLeader(t testing.TB, targets []string, o store.Options, cfg replica.Config) *clusterNode {
 	t.Helper()
 	b := markettest.Broker(t, 1)
 	d, rs, err := market.OpenDurableLedger(t.TempDir(), o)
@@ -123,7 +124,7 @@ func sameLedgers(t *testing.T, name string, a, b []market.Transaction) {
 	}
 }
 
-func buyKeyed(t *testing.T, n *clusterNode, key string, delta float64) (*market.Purchase, bool, error) {
+func buyKeyed(t testing.TB, n *clusterNode, key string, delta float64) (*market.Purchase, bool, error) {
 	t.Helper()
 	return n.b.BuyIdempotent(context.Background(), key, func(ctx context.Context) (*market.Purchase, error) {
 		return n.b.BuyAtPointContext(ctx, markettest.Model, delta)
@@ -210,6 +211,128 @@ func TestQuorumPartitionStallsThenConverges(t *testing.T) {
 	})
 	sameLedgers(t, "leader vs f1", ld.b.Ledger(), f1.b.Ledger())
 	sameLedgers(t, "leader vs f2", ld.b.Ledger(), f2.b.Ledger())
+}
+
+// TestQuorumAckDoesNotWaitForPoll: with an hour-long poll, a quorum
+// ack can only come from the wake WaitQuorum sends to the shipper it
+// needs. Every buy is acked; the woken follower holds the leader's
+// head while the other, which ships only on its poll, holds less.
+func TestQuorumAckDoesNotWaitForPoll(t *testing.T) {
+	f1 := newFollower(t, store.Options{})
+	f2 := newFollower(t, store.Options{})
+	ld := newLeader(t, []string{f1.url, f2.url}, store.Options{}, replica.Config{
+		Ack:        replica.AckQuorum,
+		AckTimeout: 2 * time.Second,
+		Poll:       time.Hour,
+	})
+	ld.node.StartLeading()
+	delta := markettest.Menu(t, ld.b)[0].Delta
+	for i := 0; i < 20; i++ {
+		if _, _, err := buyKeyed(t, ld, fmt.Sprintf("poll-%d", i), delta); err != nil {
+			t.Fatalf("buy %d: %v", i, err)
+		}
+	}
+	woken, idle := f1, f2
+	if f2.d.Store().Frames() > f1.d.Store().Frames() {
+		woken, idle = f2, f1
+	}
+	head := ld.d.Store().Frames()
+	if !converged(ld, woken) {
+		t.Fatalf("no follower holds the leader's head of %d frames: %d and %d",
+			head, woken.d.Store().Frames(), idle.d.Store().Frames())
+	}
+	if got := idle.d.Store().Frames(); got >= head {
+		t.Fatalf("the follower left to its poll holds %d of %d frames, want fewer", got, head)
+	}
+}
+
+// TestQuorumWakeMovesOffLostFollower: the follower holding the head —
+// the one quorum waiters wake — goes away mid-traffic. Its acked cursor
+// freezes, the survivor acks past it on its next poll and is woken from
+// then on: every buy is still acked, the survivor ends at the leader's
+// head, and every key replays to exactly one row.
+func TestQuorumWakeMovesOffLostFollower(t *testing.T) {
+	f1 := newFollower(t, store.Options{})
+	f2 := newFollower(t, store.Options{})
+	ld := newLeader(t, []string{f1.url, f2.url}, store.Options{}, replica.Config{
+		Ack:        replica.AckQuorum,
+		AckTimeout: 5 * time.Second,
+		Poll:       50 * time.Millisecond,
+	})
+	ld.node.StartLeading()
+	delta := markettest.Menu(t, ld.b)[0].Delta
+
+	acked := map[string]int{}
+	var keys []string
+	buy := func(key string) {
+		t.Helper()
+		p, _, err := buyKeyed(t, ld, key, delta)
+		if err != nil {
+			t.Fatalf("buy %s: %v", key, err)
+		}
+		acked[key] = p.Seq
+		keys = append(keys, key)
+	}
+	for i := 0; i < 5; i++ {
+		buy(fmt.Sprintf("before-%d", i))
+	}
+	lost, live := f1, f2
+	if !converged(ld, f1) {
+		lost, live = f2, f1
+	}
+	if !converged(ld, lost) {
+		t.Fatal("no follower holds the head after acked buys")
+	}
+	lost.srv.Close()
+	for i := 0; i < 10; i++ {
+		buy(fmt.Sprintf("after-%d", i))
+	}
+
+	if !converged(ld, live) {
+		t.Fatalf("survivor holds %d frames, leader %d", live.d.Store().Frames(), ld.d.Store().Frames())
+	}
+	sameLedgers(t, "leader vs survivor", ld.b.Ledger(), live.b.Ledger())
+	seen := map[int]string{}
+	for _, key := range keys {
+		p, replayed, err := buyKeyed(t, ld, key, delta)
+		if err != nil || !replayed {
+			t.Fatalf("retry of %s: replayed=%v err=%v", key, replayed, err)
+		}
+		if p.Seq != acked[key] {
+			t.Fatalf("retry of %s returned seq %d, want the acked %d", key, p.Seq, acked[key])
+		}
+		if prev, dup := seen[p.Seq]; dup {
+			t.Fatalf("keys %s and %s share seq %d", prev, key, p.Seq)
+		}
+		seen[p.Seq] = key
+	}
+	if rows := len(ld.b.Ledger()); rows != len(keys) {
+		t.Fatalf("leader holds %d rows, want %d — exactly one per key", rows, len(keys))
+	}
+}
+
+// BenchmarkQuorumAck times one keyed buy acknowledged by a quorum: a
+// leader at the default store options and poll shipping to two
+// httptest followers.
+func BenchmarkQuorumAck(b *testing.B) {
+	f1 := newFollower(b, store.Options{})
+	f2 := newFollower(b, store.Options{})
+	ld := newLeader(b, []string{f1.url, f2.url}, store.Options{}, replica.Config{
+		Ack:  replica.AckQuorum,
+		Poll: 10 * time.Millisecond, // replica's default; newLeader shortens a zero Poll
+	})
+	ld.node.StartLeading()
+	delta := markettest.Menu(b, ld.b)[0].Delta
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := buyKeyed(b, ld, fmt.Sprintf("bench-%d", i), delta); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if rows := len(ld.b.Ledger()); rows != b.N {
+		b.Fatalf("leader holds %d rows, want %d", rows, b.N)
+	}
 }
 
 // TestCompactionMidTailFallsBackToSnapshot covers satellite 3: the

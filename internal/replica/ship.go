@@ -52,6 +52,10 @@ type shipper struct {
 	target  string
 	breaker *resilience.Breaker
 	r       *rng.RNG
+	// wake cuts the idle poll short when a quorum waiter needs this
+	// target's ack (Node.WaitQuorum); one slot, so a wake sent while
+	// the shipper is busy is kept for its next idle wait.
+	wake chan struct{}
 
 	metShipped *obs.Counter
 	metErrs    *obs.Counter
@@ -74,6 +78,7 @@ func newShipper(n *Node, target string, idx uint64) *shipper {
 		target:     target,
 		breaker:    resilience.NewBreaker(n.cfg.Breaker),
 		r:          rng.Stream(n.cfg.Seed, idx+1),
+		wake:       make(chan struct{}, 1),
 		metShipped: obs.Default.Counter(obs.Name("replica.frames_shipped_total", "target", target)),
 		metErrs:    obs.Default.Counter(obs.Name("replica.ship_errors_total", "target", target)),
 		metSnaps:   obs.Default.Counter(obs.Name("replica.snapshots_shipped_total", "target", target)),
@@ -99,11 +104,11 @@ func (s *shipper) run(ctx context.Context) {
 				return
 			}
 			s.metErrs.Inc()
-			s.sleep(ctx, s.backoff())
+			s.sleep(ctx, s.backoff(), nil)
 			continue
 		}
 		if !progressed {
-			s.sleep(ctx, s.n.cfg.Poll)
+			s.sleep(ctx, s.n.cfg.Poll, s.wake)
 		}
 	}
 }
@@ -361,11 +366,14 @@ func (s *shipper) backoff() time.Duration {
 	return j
 }
 
-func (s *shipper) sleep(ctx context.Context, d time.Duration) {
+// sleep waits d, or until ctx ends or wake fires. A nil wake never
+// fires, which keeps the error backoff unwakeable.
+func (s *shipper) sleep(ctx context.Context, d time.Duration, wake <-chan struct{}) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
 	case <-t.C:
+	case <-wake:
 	}
 }
