@@ -10,6 +10,7 @@ package mbp
 // are scale-invariant.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -106,7 +107,7 @@ func BenchmarkFig9Solvers(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("MBP/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := revopt.MaximizeRevenueDP(sub); err != nil {
+				if _, err := revopt.MaximizeRevenueDPContext(context.Background(), sub); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -214,7 +215,7 @@ func BenchmarkAblationRevenueSolvers(b *testing.B) {
 	}
 	b.Run("DP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := revopt.MaximizeRevenueDP(m); err != nil {
+			if _, err := revopt.MaximizeRevenueDPContext(context.Background(), m); err != nil {
 				b.Fatal(err)
 			}
 		}

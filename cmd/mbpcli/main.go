@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -120,14 +121,15 @@ func main() {
 		}
 	}
 
+	ctx := context.Background()
 	var p *market.Purchase
 	switch {
 	case *budget > 0:
-		p, err = mp.Broker.BuyWithPriceBudget(mp.Model, *budget)
+		p, err = mp.Broker.BuyWithPriceBudgetContext(ctx, mp.Model, *budget)
 	case *maxErr > 0:
-		p, err = mp.Broker.BuyWithErrorBudget(mp.Model, *maxErr)
+		p, err = mp.Broker.BuyWithErrorBudgetForContext(ctx, mp.Model, "", *maxErr)
 	case *delta > 0:
-		p, err = mp.Broker.BuyAtPoint(mp.Model, *delta)
+		p, err = mp.Broker.BuyAtPointContext(ctx, mp.Model, *delta)
 	default:
 		return
 	}

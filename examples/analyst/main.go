@@ -15,9 +15,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"github.com/datamarket/mbp/internal/buyer"
 	"github.com/datamarket/mbp/internal/core"
 	"github.com/datamarket/mbp/internal/curves"
 	"github.com/datamarket/mbp/internal/dataset"
@@ -104,7 +106,7 @@ func main() {
 	fmt.Println("budget sweep (option 3 — price budget):")
 	fmt.Printf("%-10s %-10s %-14s %-14s\n", "budget", "δ", "quoted err", "realized 0/1")
 	for _, budget := range []float64{20, 40, 80, 140, 195} {
-		p, err := mp.Broker.BuyWithPriceBudget(mp.Model, budget)
+		p, err := mp.Broker.BuyWithPriceBudgetContext(context.Background(), mp.Model, budget)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -114,13 +116,29 @@ func main() {
 
 	// The seller's perspective: simulate the buyer population from the
 	// bimodal demand curve (hobbyists want cheap models, competitors
-	// want accurate ones).
-	sum, err := mp.Broker.SimulateBuyers(mp.Model, 2000, 77)
+	// want accurate ones). Each buyer wants the version at one research
+	// grid point and, error-first, buys the cheapest version reaching
+	// its error when that costs no more than the buyer's valuation.
+	menu, err := mp.Broker.PriceErrorCurve(mp.Model)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsimulated population of %d buyers: %d purchases (affordability %.2f), revenue %.1f\n",
-		sum.Buyers, sum.Sales, sum.Affordability, sum.Revenue)
+	// The menu is cheapest-first, the research grid's order.
+	menuErrs := make([]float64, len(menu))
+	for i, row := range menu {
+		menuErrs[i] = row.ExpectedError
+	}
+	pop, err := buyer.NewPopulation(mp.Seller.Research, menuErrs, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	strategy := buyer.ErrorFirst{}
+	sum, err := buyer.Run(mp.Broker, mp.Model, strategy, pop.Sample(2000, rng.New(77)))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nsimulated population of %d %s buyers: %d purchases (affordability %.2f), revenue %.1f\n",
+		sum.Buyers, strategy.Name(), sum.Sales, sum.Affordability, sum.Revenue)
 	sellerShare, brokerShare := mp.Broker.RevenueSplit()
 	fmt.Printf("seller share %.1f, broker commission %.1f\n", sellerShare, brokerShare)
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	ex := market.NewExchange()
 
 	// Seller 1: protein-structure regression with concave demand for
@@ -60,7 +62,7 @@ func main() {
 
 	fmt.Println("marketplace listings:")
 	for _, name := range ex.Listings() {
-		b, err := ex.Broker(name)
+		b, err := ex.BrokerContext(ctx, name)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,18 +77,18 @@ func main() {
 
 	// Buyers shop across listings.
 	fmt.Println("\nbuyers:")
-	b1, err := ex.Broker("protein-rmsd")
+	b1, err := ex.BrokerContext(ctx, "protein-rmsd")
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := b1.BuyWithPriceBudget(mp1.Model, 45)
+	p, err := b1.BuyWithPriceBudgetContext(ctx, mp1.Model, 45)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  biotech startup buys %v from protein-rmsd: δ=%.4g err=%.5g price=%.2f\n",
 		p.Model, p.Delta, p.ExpectedError, p.Price)
 
-	b2, err := ex.Broker("susy-signal")
+	b2, err := ex.BrokerContext(ctx, "susy-signal")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err = b2.BuyWithErrorBudget(mp2.Model, menu2[len(menu2)/2].ExpectedError)
+	p, err = b2.BuyWithErrorBudgetForContext(ctx, mp2.Model, "", menu2[len(menu2)/2].ExpectedError)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -100,7 +101,7 @@ func main() {
 		menu[len(menu)-1].ExpectedError, menu[len(menu)-1].Price)
 
 	for _, budget := range []float64{25, 50, 90} {
-		p, err := mp.Broker.BuyWithPriceBudget(mp.Model, budget)
+		p, err := mp.Broker.BuyWithPriceBudgetContext(context.Background(), mp.Model, budget)
 		if err != nil {
 			log.Fatal(err)
 		}

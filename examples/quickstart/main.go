@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,8 +46,10 @@ func main() {
 			row.Delta, row.ExpectedError, row.Price)
 	}
 
-	// 3a. Option 1 — buy a specific point on the curve.
-	p1, err := mp.Broker.BuyAtPoint(mp.Model, menu[len(menu)/2].Delta)
+	// 3a. Option 1 — buy a specific point on the curve. Every buy takes
+	//     a context, which carries its trace and deadline.
+	ctx := context.Background()
+	p1, err := mp.Broker.BuyAtPointContext(ctx, mp.Model, menu[len(menu)/2].Delta)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +59,7 @@ func main() {
 	// 3b. Option 2 — error budget: "at most this error, as cheap as
 	//     possible".
 	budgetErr := (menu[0].ExpectedError + menu[len(menu)-1].ExpectedError) / 2
-	p2, err := mp.Broker.BuyWithErrorBudget(mp.Model, budgetErr)
+	p2, err := mp.Broker.BuyWithErrorBudgetForContext(ctx, mp.Model, "", budgetErr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func main() {
 
 	// 3c. Option 3 — price budget: "most accurate model under this
 	//     price".
-	p3, err := mp.Broker.BuyWithPriceBudget(mp.Model, 40)
+	p3, err := mp.Broker.BuyWithPriceBudgetContext(ctx, mp.Model, 40)
 	if err != nil {
 		log.Fatal(err)
 	}

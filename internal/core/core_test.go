@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/datamarket/mbp/internal/curves"
@@ -41,7 +42,7 @@ func TestNewClassificationDefaults(t *testing.T) {
 	if mp.Model != ml.LogisticRegression {
 		t.Fatalf("model %v, want logistic regression for classification data", mp.Model)
 	}
-	if _, err := mp.Broker.BuyWithPriceBudget(mp.Model, 50); err != nil {
+	if _, err := mp.Broker.BuyWithPriceBudgetContext(context.Background(), mp.Model, 50); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/datamarket/mbp/internal/arbitrage"
@@ -82,7 +83,7 @@ func Fig5(cfg Config) error {
 		return err
 	}
 	// (e) the MBP dynamic program.
-	dp, err := revopt.MaximizeRevenueDP(m)
+	dp, err := revopt.MaximizeRevenueDPContext(context.Background(), m)
 	if err != nil {
 		return err
 	}

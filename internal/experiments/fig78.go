@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/datamarket/mbp/internal/curves"
@@ -12,7 +13,7 @@ import (
 // curves of MBP and the four baselines on the market, then the revenue
 // and affordability bars with gain factors.
 func revenueComparison(cfg Config, panel string, m *curves.Market) error {
-	mbp, err := revopt.MaximizeRevenueDP(m)
+	mbp, err := revopt.MaximizeRevenueDPContext(context.Background(), m)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -24,7 +25,9 @@ type runtimeSeries struct {
 // sweeps to 10, which Config.MaxPricePoints reproduces.
 func runtimeComparison(cfg Config, panel string, base *curves.Market) error {
 	methods := []*runtimeSeries{
-		{name: "MBP", run: revopt.MaximizeRevenueDP},
+		{name: "MBP", run: func(m *curves.Market) (*revopt.Result, error) {
+			return revopt.MaximizeRevenueDPContext(context.Background(), m)
+		}},
 		{name: "Lin", run: func(m *curves.Market) (*revopt.Result, error) { return revopt.Lin(m), nil }},
 		{name: "MaxC", run: func(m *curves.Market) (*revopt.Result, error) { return revopt.MaxC(m), nil }},
 		{name: "MedC", run: func(m *curves.Market) (*revopt.Result, error) { return revopt.MedC(m), nil }},

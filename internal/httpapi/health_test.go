@@ -155,11 +155,11 @@ func TestHealthzReflectsStoreFailure(t *testing.T) {
 	}
 
 	getJSON(t, ts.URL+"/healthz", http.StatusOK, nil)
-	if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+	if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); err != nil {
 		t.Fatal(err)
 	}
 	torn = true
-	if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); !errors.Is(err, market.ErrSaleNotRecorded) {
+	if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); !errors.Is(err, market.ErrSaleNotRecorded) {
 		t.Fatalf("torn sale returned %v", err)
 	}
 	resp, err := http.Get(ts.URL + "/healthz")

@@ -332,11 +332,9 @@ func (b *Broker) applyStakesLocked(stakes []SellerStake, journal bool) error {
 	if err != nil {
 		return err
 	}
-	if journal {
-		if d, ok := b.ledger.(*DurableLedger); ok {
-			if err := d.journalStakes(norm); err != nil {
-				return err
-			}
+	if journal && b.journal != nil {
+		if err := b.journal.journalStakes(norm); err != nil {
+			return err
 		}
 	}
 	b.stakes.Store(&stakeTable{stakes: norm})

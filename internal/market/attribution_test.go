@@ -364,7 +364,7 @@ func TestFollowerRejectsEpochDowngrade(t *testing.T) {
 	if err := fa.ApplyRecords([][]byte{v2rec}); err != nil {
 		t.Fatal(err)
 	}
-	rep := d.attributionTotals()
+	rep := d.mem.attributionTotals()
 	if rep.AttributedRows != 1 || rep.ExactViolations != 0 {
 		t.Fatalf("applied v2 row: %+v", rep)
 	}
@@ -380,7 +380,7 @@ func TestFollowerRejectsEpochDowngrade(t *testing.T) {
 	if fa.Frames() != framesAfterV2 {
 		t.Fatal("rejected record advanced the frame cursor")
 	}
-	if rows, _, _ := d.totals(); rows != 1 {
+	if rows, _, _ := d.mem.totals(); rows != 1 {
 		t.Fatalf("rejected record filed in the ledger: %d rows", rows)
 	}
 }

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,10 +13,10 @@ import (
 func newAuditor(t *testing.T, mutate func(*Config)) (*Auditor, *obs.Registry) {
 	t.Helper()
 	b := markettest.Broker(t, 42)
-	if _, err := b.BuyAtPoint(markettest.Model, 0.1); err != nil {
+	if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.BuyWithPriceBudget(markettest.Model, 50); err != nil {
+	if _, err := b.BuyWithPriceBudgetContext(context.Background(), markettest.Model, 50); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -29,7 +30,7 @@ func BenchmarkSweep(b *testing.B) {
 			}
 			delta := menu[len(menu)/2].Delta
 			for i := 0; i < rows; i++ {
-				if _, err := br.BuyAtPoint(markettest.Model, delta); err != nil {
+				if _, err := br.BuyAtPointContext(context.Background(), markettest.Model, delta); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -33,17 +34,17 @@ func TestBrokerConcurrentBuysAndQuotes(t *testing.T) {
 				var err error
 				switch (w + i) % 3 {
 				case 0:
-					_, err = b.BuyAtPoint(ml.LinearRegression, cheap.Delta)
+					_, err = b.BuyAtPointContext(context.Background(), ml.LinearRegression, cheap.Delta)
 				case 1:
-					_, err = b.BuyWithErrorBudget(ml.LinearRegression, cheap.ExpectedError)
+					_, err = b.BuyWithErrorBudgetForContext(context.Background(), ml.LinearRegression, "", cheap.ExpectedError)
 				default:
-					_, err = b.BuyWithPriceBudget(ml.LinearRegression, best.Price)
+					_, err = b.BuyWithPriceBudgetContext(context.Background(), ml.LinearRegression, best.Price)
 				}
 				if err != nil {
 					errs <- err
 					continue
 				}
-				if _, _, err := b.Quote(ml.LinearRegression, best.Delta); err != nil {
+				if _, _, err := b.QuoteContext(context.Background(), ml.LinearRegression, best.Delta); err != nil {
 					errs <- err
 				}
 			}
@@ -103,12 +104,12 @@ func TestExchangeConcurrentLookups(t *testing.T) {
 				name = "b"
 			}
 			for i := 0; i < 10; i++ {
-				b, err := ex.Broker(name)
+				b, err := ex.BrokerContext(context.Background(), name)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := b.BuyAtPoint(ml.LinearRegression, delta); err != nil {
+				if _, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, delta); err != nil {
 					t.Error(err)
 					return
 				}
@@ -126,7 +127,7 @@ func TestExchangeConcurrentLookups(t *testing.T) {
 
 func mustBrokerOf(t *testing.T, ex *Exchange, name string) *Broker {
 	t.Helper()
-	b, err := ex.Broker(name)
+	b, err := ex.BrokerContext(context.Background(), name)
 	if err != nil {
 		t.Fatal(err)
 	}

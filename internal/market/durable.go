@@ -1,9 +1,9 @@
 package market
 
-// This file is the durable half of the Ledger split: a write-through
-// implementation that journals every transaction (and every
-// permanently skipped sequence number) through a store.Store WAL
-// before the in-memory ledger — and therefore the buyer — sees it.
+// This file is the broker's write-ahead journal: DurableLedger journals
+// every transaction (and every permanently skipped sequence number)
+// through a store.Store WAL before the in-memory sharded ledger — and
+// therefore the buyer — sees it.
 // Recovery replays the newest snapshot plus the WAL tail and rebuilds
 // the exact pre-crash ledger, sequence counter, logical clock and
 // unexpired idempotency entries.
@@ -135,9 +135,10 @@ type RecoveredState struct {
 	Lost []uint64
 }
 
-// DurableLedger is the write-through Ledger: every record is journaled
-// to the WAL first and filed in the in-memory sharded ledger only
-// after the journal acknowledged it, so an acknowledged sale is
+// DurableLedger is the write-through journal in front of a sharded
+// ledger: every record is journaled to the WAL first and filed in the
+// in-memory ledger (mem, which the attached broker reads directly)
+// only after the journal acknowledged it, so an acknowledged sale is
 // recoverable by construction (under FsyncAlways, durably so before
 // the buyer hears about it).
 type DurableLedger struct {
@@ -362,16 +363,15 @@ func decodeWALRecord(rec []byte) (wr walRecord, isV2Tx bool, err error) {
 	return wr, isV2Tx, nil
 }
 
-func (d *DurableLedger) nextSeq() uint64 { return d.mem.nextSeq() }
-
 // releaseSeq hands the number back when possible; when concurrent
 // traffic already built on top of it, the permanent gap is journaled so
-// recovery can prove the ledger prefix is still complete. A journal
-// failure here is swallowed: the store has latched failed and every
-// subsequent sale will refuse to record anyway.
-func (d *DurableLedger) releaseSeq(seq uint64) bool {
+// recovery can tell a canceled sale from a lost row and prove the
+// ledger prefix is still complete. A journal failure here is swallowed:
+// the store has latched failed and every subsequent sale will refuse to
+// record anyway.
+func (d *DurableLedger) releaseSeq(seq uint64) {
 	if d.mem.releaseSeq(seq) {
-		return true
+		return
 	}
 	if rec, err := json.Marshal(walRecord{Kind: walKindSkip, Seq: seq}); err == nil {
 		if err := d.st.Append(rec); err == nil {
@@ -380,7 +380,6 @@ func (d *DurableLedger) releaseSeq(seq uint64) bool {
 			d.mu.Unlock()
 		}
 	}
-	return false
 }
 
 // record journals the transaction (and its idempotency entry, in the
@@ -476,18 +475,6 @@ func (d *DurableLedger) journalCurve(m ml.Model, pts []pricing.Point) error {
 	return nil
 }
 
-func (d *DurableLedger) view() *ledgerView { return d.mem.view() }
-
-func (d *DurableLedger) totals() (int, float64, float64) { return d.mem.totals() }
-
-func (d *DurableLedger) grossRevenue() float64 { return d.mem.grossRevenue() }
-
-func (d *DurableLedger) splitTotals() (map[string]float64, float64, float64) {
-	return d.mem.splitTotals()
-}
-
-func (d *DurableLedger) attributionTotals() AttributionReport { return d.mem.attributionTotals() }
-
 // replayRows returns the journaled idempotency entries (a copy).
 func (d *DurableLedger) replayRows() map[string]walReplay {
 	d.mu.Lock()
@@ -559,25 +546,26 @@ func (d *DurableLedger) Dir() string { return d.st.Dir() }
 // and installs frames through it.
 func (d *DurableLedger) Store() *store.Store { return d.st }
 
-// AttachDurableLedger swaps the broker's in-memory ledger for d and
-// resumes serving state from the recovered journal: the sequence
-// counter and logical clock continue past their pre-crash maxima, and
-// journaled idempotency entries still inside ReplayTTL are re-seeded
-// into the replay cache, so a client retry that straddles the restart
-// replays the original sale — same Seq, same weights — instead of
-// being charged twice.
+// AttachDurableLedger swaps the broker's in-memory ledger for d's,
+// journals every later sale through d, and resumes serving state from
+// the recovered journal: the sequence counter and logical clock
+// continue past their pre-crash maxima, and journaled idempotency
+// entries still inside ReplayTTL are re-seeded into the replay cache,
+// so a client retry that straddles the restart replays the original
+// sale — same Seq, same weights, same attribution — instead of being
+// charged twice.
 //
 // Call it during startup, after offers are restored and before the
 // broker serves traffic; it is not safe to use concurrently with buys.
 func (b *Broker) AttachDurableLedger(d *DurableLedger, rs *RecoveredState) {
-	b.ledger = d
+	b.ledger, b.journal = &d.mem, d
 	if rs == nil {
 		return
 	}
 	if cur := b.logical.Load(); rs.Logical > cur {
 		b.logical.Store(rs.Logical)
 	}
-	v := d.view()
+	v := d.mem.view()
 	for key, rp := range d.replayRows() {
 		i := sort.Search(len(v.txs), func(i int) bool { return v.txs[i].Seq >= rp.Seq })
 		if i >= len(v.txs) || v.txs[i].Seq != rp.Seq {
@@ -605,7 +593,7 @@ func (b *Broker) AttachDurableLedger(d *DurableLedger, rs *RecoveredState) {
 
 // purchaseFromReplay rebuilds the original *Purchase from a ledger row
 // plus its journaled idempotency entry — byte-identical weights, no
-// fresh noise draw.
+// fresh noise draw, and the row's attribution table and broker cut.
 func purchaseFromReplay(tx Transaction, rp walReplay) *Purchase {
 	return &Purchase{
 		Instance: &ml.Instance{
@@ -619,5 +607,7 @@ func purchaseFromReplay(tx Transaction, rp walReplay) *Purchase {
 		ExpectedError: tx.ExpectedError,
 		Price:         tx.Price,
 		Seq:           tx.Seq,
+		Shares:        tx.Shares,
+		BrokerShare:   tx.BrokerShare,
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -68,7 +69,7 @@ func TestDurableLedgerRoundTrip(t *testing.T) {
 	}
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 5; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[i%len(menu)].Delta); err != nil {
+		if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[i%len(menu)].Delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +98,7 @@ func TestDurableLedgerRoundTrip(t *testing.T) {
 	}
 	// The sequence counter resumed: the next sale extends the ledger,
 	// it does not overwrite a recovered row.
-	p, err := b2.BuyAtPoint(markettest.Model, menu[0].Delta)
+	p, err := b2.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestDurableSkipJournaled(t *testing.T) {
 		errc <- err
 	}()
 	<-mech.entered // sale 1 parked inside the noise draw
-	if _, err := b.BuyAtPoint(markettest.Model, menu[1].Delta); err != nil {
+	if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[1].Delta); err != nil {
 		t.Fatal(err) // sale 2 completes, claiming seq 2
 	}
 	cancelA()
@@ -389,6 +390,54 @@ func TestDurableIdempotentReplayExpiresWithTTL(t *testing.T) {
 	if p2.Seq == p1.Seq {
 		t.Fatal("fresh sale reused the original sequence number")
 	}
+}
+
+// TestDurableReplayKeepsAttribution: a keyed retry that a restarted
+// broker answers from the journal returns the sale's attribution table
+// and broker cut, exactly as a live replay does.
+func TestDurableReplayKeepsAttribution(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*market.Broker, *market.DurableLedger) {
+		b := markettest.MultiSellerBroker(t, 1, 3)
+		d, rs, err := market.OpenDurableLedger(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.AttachDurableLedger(d, rs)
+		return b, d
+	}
+	b, d := open()
+	menu := markettest.Menu(t, b)
+	ctx := context.Background()
+	orig, _, err := b.BuyIdempotent(ctx, "attr-key", func(ctx context.Context) (*market.Purchase, error) {
+		return b.BuyAtPointContext(ctx, markettest.Model, menu[0].Delta)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(orig.Shares) != 3 || orig.BrokerShare == 0 {
+		t.Fatalf("sale attributed %v / %v, want 3 seller shares and a broker cut", orig.Shares, orig.BrokerShare)
+	}
+	// The retry closure fails, so only a replay can answer the key.
+	errFresh := errors.New("executed fresh")
+	retry := func(context.Context) (*market.Purchase, error) { return nil, errFresh }
+	check := func(what string, b *market.Broker) {
+		t.Helper()
+		p, replayed, err := b.BuyIdempotent(ctx, "attr-key", retry)
+		if err != nil || !replayed {
+			t.Fatalf("%s retry: replayed=%v err=%v, want a replay", what, replayed, err)
+		}
+		if p.Seq != orig.Seq || p.BrokerShare != orig.BrokerShare || !reflect.DeepEqual(p.Shares, orig.Shares) {
+			t.Fatalf("%s replay: seq %d shares %v / %v, want seq %d shares %v / %v",
+				what, p.Seq, p.Shares, p.BrokerShare, orig.Seq, orig.Shares, orig.BrokerShare)
+		}
+	}
+	check("live", b)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b2, _ := open()
+	check("recovered", b2)
 }
 
 // TestDurableRecoveryKeepsNewestReplays journals more keyed sales than
@@ -454,7 +503,7 @@ func TestDurableTornTailRecoversPrefix(t *testing.T) {
 	b, d, _ := durableBroker(t, dir, store.Options{})
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 3; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+		if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -486,7 +535,7 @@ func TestDurableTornTailRecoversPrefix(t *testing.T) {
 	if rs.MaxSeq != 2 || len(rs.Lost) != 0 {
 		t.Fatalf("recovered accounting %+v, want max seq 2 with nothing lost", rs)
 	}
-	p, err := b2.BuyAtPoint(markettest.Model, menu[0].Delta)
+	p, err := b2.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +549,7 @@ func TestDurableMidLogCorruptionRefusesToOpen(t *testing.T) {
 	b, d, _ := durableBroker(t, dir, store.Options{})
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 3; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+		if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -526,7 +575,7 @@ func TestDurableCompactionPreservesState(t *testing.T) {
 	b, d, _ := durableBroker(t, dir, store.Options{})
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 4; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+		if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -541,7 +590,7 @@ func TestDurableCompactionPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[2].Delta); err != nil {
+		if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[2].Delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -585,16 +634,16 @@ func TestDurableChaosTornWriteRecovery(t *testing.T) {
 	b, _, _ := durableBroker(t, dir, store.Options{Faults: chaos.StoreFaults()})
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 3; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+		if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); err != nil {
 			t.Fatal(err)
 		}
 	}
 	chaos.Update(resilience.ChaosConfig{TornProb: 1})
-	if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); !errors.Is(err, market.ErrSaleNotRecorded) {
+	if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); !errors.Is(err, market.ErrSaleNotRecorded) {
 		t.Fatalf("torn sale returned %v, want ErrSaleNotRecorded", err)
 	}
 	// The simulated crash took the journal down: further sales refuse.
-	if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); !errors.Is(err, market.ErrSaleNotRecorded) {
+	if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); !errors.Is(err, market.ErrSaleNotRecorded) {
 		t.Fatalf("post-crash sale returned %v, want ErrSaleNotRecorded", err)
 	}
 	want := b.Ledger()
@@ -617,7 +666,7 @@ func TestDurableChaosTornWriteRecovery(t *testing.T) {
 			t.Fatalf("row %d diverged: %+v vs %+v", i, got[i], want[i])
 		}
 	}
-	if p, err := b2.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil || p.Seq != 4 {
+	if p, err := b2.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); err != nil || p.Seq != 4 {
 		t.Fatalf("post-recovery sale (%v, %v), want seq 4", p, err)
 	}
 }
@@ -634,11 +683,11 @@ func TestDurablePersistFailureAbortsSale(t *testing.T) {
 	}}
 	b, d, _ := durableBroker(t, dir, store.Options{Faults: faults})
 	menu := markettest.Menu(t, b)
-	if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+	if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); err != nil {
 		t.Fatal(err)
 	}
 	failing = true
-	_, err := b.BuyAtPoint(markettest.Model, menu[0].Delta)
+	_, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta)
 	if !errors.Is(err, market.ErrSaleNotRecorded) {
 		t.Fatalf("unjournaled sale returned %v, want ErrSaleNotRecorded", err)
 	}
@@ -654,7 +703,7 @@ func TestDurablePersistFailureAbortsSale(t *testing.T) {
 	if err := d.Healthy(); err != nil {
 		t.Fatalf("clean journal failure latched the store: %v", err)
 	}
-	p, err := b.BuyAtPoint(markettest.Model, menu[0].Delta)
+	p, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta)
 	if err != nil {
 		t.Fatal(err)
 	}

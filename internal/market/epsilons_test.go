@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -98,7 +99,7 @@ func TestBuyWithErrorBudgetFor(t *testing.T) {
 	}
 	// A budget halfway down the 0/1 scale.
 	budget := (menu[0].ExpectedError + menu[len(menu)-1].ExpectedError) / 2
-	p, err := b.BuyWithErrorBudgetFor(ml.LogisticRegression, "zero-one", budget)
+	p, err := b.BuyWithErrorBudgetForContext(context.Background(), ml.LogisticRegression, "zero-one", budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +113,10 @@ func TestBuyWithErrorBudgetFor(t *testing.T) {
 		}
 	}
 	// Unknown ϵ and impossible budget.
-	if _, err := b.BuyWithErrorBudgetFor(ml.LogisticRegression, "nope", 0.5); !errors.Is(err, ErrUnknownEpsilon) {
+	if _, err := b.BuyWithErrorBudgetForContext(context.Background(), ml.LogisticRegression, "nope", 0.5); !errors.Is(err, ErrUnknownEpsilon) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := b.BuyWithErrorBudgetFor(ml.LogisticRegression, "zero-one", menu[len(menu)-1].ExpectedError/10); !errors.Is(err, ErrErrorBudgetTooTight) {
+	if _, err := b.BuyWithErrorBudgetForContext(context.Background(), ml.LogisticRegression, "zero-one", menu[len(menu)-1].ExpectedError/10); !errors.Is(err, ErrErrorBudgetTooTight) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -59,16 +59,12 @@ func (e *Exchange) Delist(name string) error {
 	return nil
 }
 
-// Broker returns the broker behind a listing. Each successful
+// BrokerContext returns the broker behind a listing. Each successful
 // resolution counts toward the listing's lookup metric, so /metrics
-// shows per-listing traffic on a multi-seller exchange.
-func (e *Exchange) Broker(name string) (*Broker, error) {
-	return e.BrokerContext(context.Background(), name)
-}
-
-// BrokerContext is Broker with the per-listing dispatch recorded as an
-// "exchange.resolve_listing" span, so a multi-seller trace shows which
-// listing the request routed to and what the lookup cost.
+// shows per-listing traffic on a multi-seller exchange. The dispatch is
+// recorded as an "exchange.resolve_listing" span on the caller's
+// context, so a multi-seller trace shows which listing the request
+// routed to and what the lookup cost.
 func (e *Exchange) BrokerContext(ctx context.Context, name string) (*Broker, error) {
 	_, span := trace.Start(ctx, "exchange.resolve_listing", "listing", name)
 	defer span.End()

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -15,11 +16,11 @@ func TestExchangeListAndLookup(t *testing.T) {
 	if err := e.List("casp", b); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Broker("casp")
+	got, err := e.BrokerContext(context.Background(), "casp")
 	if err != nil || got != b {
 		t.Fatalf("Broker: %v, %v", got, err)
 	}
-	if _, err := e.Broker("nope"); !errors.Is(err, ErrUnknownListing) {
+	if _, err := e.BrokerContext(context.Background(), "nope"); !errors.Is(err, ErrUnknownListing) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := e.List("casp", b); err == nil {
@@ -77,7 +78,7 @@ func TestExchangeTotalRevenue(t *testing.T) {
 	}
 	var want float64
 	for i, b := range []*Broker{b1, b2} {
-		p, err := b.BuyAtPoint(ml.LinearRegression, 0.1/float64(i+1))
+		p, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, 0.1/float64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestExchangeConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				_ = e.Listings()
-				if _, err := e.Broker("shared"); err != nil {
+				if _, err := e.BrokerContext(context.Background(), "shared"); err != nil {
 					t.Error(err)
 					return
 				}

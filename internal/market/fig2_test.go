@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"testing"
 
 	"github.com/datamarket/mbp/internal/ml"
@@ -62,7 +63,7 @@ func TestAddModelFromErrorResearch(t *testing.T) {
 		t.Fatalf("menu rows %d", len(menu))
 	}
 	// A buyer with the mid valuation can afford the mid version.
-	p, err := b.BuyWithErrorBudget(ml.LinearRegression, errs[len(errs)/2])
+	p, err := b.BuyWithErrorBudgetForContext(context.Background(), ml.LinearRegression, "", errs[len(errs)/2])
 	if err != nil {
 		t.Fatal(err)
 	}

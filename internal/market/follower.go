@@ -254,7 +254,7 @@ func (fa *FollowerApplier) ApplySnapshot(framesBefore uint64, digest uint32, pay
 	}
 	advanceMax(&fa.d.mem.seq, snap.MaxSeq)
 	advanceMax(&fa.b.logical, snap.Logical)
-	byKey := fa.d.view()
+	byKey := fa.d.mem.view()
 	for _, rp := range snap.Replays {
 		fa.d.mu.Lock()
 		fa.d.replays[rp.Key] = rp

@@ -2,16 +2,19 @@ package market
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
 
+	"github.com/datamarket/mbp/internal/ml"
 	"github.com/datamarket/mbp/internal/replica"
 	"github.com/datamarket/mbp/internal/store"
 )
@@ -72,7 +75,7 @@ func (f *shippedFollower) expect(t *testing.T, what string, recs [][]byte, rows 
 	if st.Frames() != uint64(len(recs)) || st.StreamDigest() != digest {
 		t.Fatalf("%s: frames %d digest %08x, want %d/%08x", what, st.Frames(), st.StreamDigest(), len(recs), digest)
 	}
-	if got, _, _ := f.d.totals(); got != rows {
+	if got, _, _ := f.d.mem.totals(); got != rows {
 		t.Fatalf("%s: %d ledger rows, want %d", what, got, rows)
 	}
 	if got := len(f.d.replayRows()); got != rows {
@@ -129,6 +132,54 @@ func TestFollowerBatchKeepsPrefixBeforeDowngrade(t *testing.T) {
 		t.Fatalf("re-shipped POST: HTTP %d, want 500", code)
 	}
 	f.expect(t, "after the re-ship", recs[:3], 2)
+}
+
+// TestFollowerPromotedReplayKeepsAttribution: a follower that applied
+// the leader's records and was then promoted answers a retry of a
+// keyed sale with the sale's attribution table and broker cut, exactly
+// as the leader would.
+func TestFollowerPromotedReplayKeepsAttribution(t *testing.T) {
+	leader := testBroker(t)
+	d, rs, err := OpenDurableLedger(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	leader.AttachDurableLedger(d, rs)
+	if err := leader.SetSellerStakes([]SellerStake{{ID: "a", Weight: 3}, {ID: "b", Weight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	orig, _, err := leader.BuyIdempotent(ctx, "attr-key", func(ctx context.Context) (*Purchase, error) {
+		return leader.BuyAtPointContext(ctx, ml.LinearRegression, 0.1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(orig.Shares) != 2 || orig.BrokerShare == 0 {
+		t.Fatalf("sale attributed %v / %v, want 2 seller shares and a broker cut", orig.Shares, orig.BrokerShare)
+	}
+	recs, _, err := d.Store().ReadFrom(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f := newShippedFollower(t, nil)
+	if code := f.post(0, recs); code != http.StatusOK {
+		t.Fatalf("POST of the leader's records: HTTP %d", code)
+	}
+	f.b.Promote()
+	errFresh := errors.New("executed fresh")
+	p, replayed, err := f.b.BuyIdempotent(ctx, "attr-key", func(context.Context) (*Purchase, error) {
+		return nil, errFresh
+	})
+	if err != nil || !replayed {
+		t.Fatalf("retry on the promoted follower: replayed=%v err=%v, want a replay", replayed, err)
+	}
+	if p.Seq != orig.Seq || p.BrokerShare != orig.BrokerShare || !reflect.DeepEqual(p.Shares, orig.Shares) {
+		t.Fatalf("replay: seq %d shares %v / %v, want seq %d shares %v / %v",
+			p.Seq, p.Shares, p.BrokerShare, orig.Seq, orig.Shares, orig.BrokerShare)
+	}
 }
 
 func TestFollowerBatchFsyncFailureAppliesNothing(t *testing.T) {

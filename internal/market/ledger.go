@@ -1,7 +1,6 @@
 package market
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,59 +20,6 @@ type Stamp struct {
 	Wall time.Time `json:"wall"`
 }
 
-// Ledger is the broker's transaction log. Two implementations exist:
-// the in-memory shardedLedger (the default, state dies with the
-// process) and the write-through DurableLedger, which journals every
-// transaction — and every permanently skipped sequence number — to a
-// store.Store WAL before acknowledging the sale.
-//
-// The methods are unexported on purpose: the interface shapes the
-// broker's internals and is not a public extension point.
-type Ledger interface {
-	// nextSeq allocates the next 1-based sequence number.
-	nextSeq() uint64
-	// releaseSeq hands back an allocated sequence number whose sale
-	// was abandoned before recording. It reports whether the number
-	// was reclaimed; a durable implementation journals the skip when
-	// reclaim fails, so recovery can tell a canceled sale from a lost
-	// row.
-	releaseSeq(seq uint64) bool
-	// record files tx. A durable implementation journals it (and rep,
-	// the idempotency entry that must live or die with it) before the
-	// in-memory ledger sees it, and an error means the sale must not
-	// be acknowledged.
-	record(ctx context.Context, tx Transaction, rep *pendingReplay) error
-	// view returns the current Seq-ordered snapshot. The returned
-	// value is shared and immutable — callers must not mutate it.
-	view() *ledgerView
-	// totals reports the row count and two gross figures maintained by
-	// independent code paths: a re-sum over the stored rows themselves
-	// vs. the running per-stripe totals accumulated at append time.
-	// Comparing them is the conservation audit. Both figures for a
-	// stripe are read under that stripe's lock, so the pair stays
-	// comparable even while sales land mid-call — and the call must stay
-	// cheap (no snapshot build) because the auditor issues it on a tight
-	// cadence against the live broker.
-	totals() (rows int, gross, stripeGross float64)
-	// grossRevenue returns the running stripe-accumulated gross — O(1)
-	// per stripe, no row walk. This is the figure the revenue-split
-	// readers and the /metrics snapshot poll; totals() re-derives it
-	// from the rows so the auditor can cross-check the accumulation.
-	grossRevenue() float64
-	// splitTotals returns the running attribution totals accumulated at
-	// append time: cumulative attributed revenue per seller, the
-	// broker's cumulative commission, and the gross of legacy rows that
-	// carry no attribution table (recorded before the v2 upgrade).
-	// Like grossRevenue it is O(sellers) per stripe, no row walk.
-	splitTotals() (bySeller map[string]float64, broker, legacy float64)
-	// attributionTotals re-derives the per-seller totals from the rows
-	// themselves and cross-checks them against the running figures —
-	// the attribution half of the conservation audit (see
-	// AttributionReport). Each stripe is scanned in place under its
-	// lock, no snapshot build.
-	attributionTotals() AttributionReport
-}
-
 // pendingReplay carries the idempotency entry recorded atomically with
 // its transaction: journaling key and purchase in the same WAL frame
 // means a crash can never persist the charge but forget the key (a
@@ -84,12 +30,11 @@ type pendingReplay struct {
 }
 
 // ledgerView is an immutable ledger snapshot: the transactions in Seq
-// order plus their gross revenue, tagged with the record count it was
-// built at so repeated readers can reuse it.
+// order, tagged with the record count it was built at so repeated
+// readers can reuse it.
 type ledgerView struct {
 	version uint64
 	txs     []Transaction
-	gross   float64
 }
 
 // ledgerShardCount is the number of independent ledger stripes. Sales
@@ -98,9 +43,11 @@ type ledgerView struct {
 // modulo a mask.
 const ledgerShardCount = 16
 
-// shardedLedger records transactions with one atomic sequence counter
-// and per-shard mutexes. Allocating a sequence number is a single
-// atomic add; filing the row locks only its stripe. Readers merge the
+// shardedLedger is the broker's transaction log: the in-memory rows
+// every read is served from, whether or not a DurableLedger journals
+// them. It records transactions with one atomic sequence counter and
+// per-shard mutexes. Allocating a sequence number is a single atomic
+// add; filing the row locks only its stripe. Readers merge the
 // stripes back into Seq order on demand — the write-heavy purchase path
 // pays O(1), the read-side view() pays the sort, and a cache keyed by
 // the recorded-row count means it pays it only when something new was
@@ -145,18 +92,16 @@ func (l *shardedLedger) nextSeq() uint64 {
 // allocation — a single CAS — so a canceled sale in a quiet moment
 // leaves no gap, and under concurrent traffic the number is simply
 // skipped (reported false) rather than ever reused for a second sale.
+// A journaled broker releases through DurableLedger.releaseSeq, which
+// journals the skip when this reports false.
 func (l *shardedLedger) releaseSeq(seq uint64) bool {
 	return l.seq.CompareAndSwap(seq, seq-1)
 }
 
-// record implements Ledger: purely in-memory, it cannot fail.
-func (l *shardedLedger) record(_ context.Context, tx Transaction, _ *pendingReplay) error {
-	l.file(tx)
-	return nil
-}
-
 // file places a transaction under its sequence number's stripe and
-// bumps the cache version once the row is visible there.
+// bumps the cache version once the row is visible there. It cannot
+// fail; on a journaled broker DurableLedger.record calls it only after
+// the journal accepted the row.
 func (l *shardedLedger) file(tx Transaction) {
 	sh := &l.shards[uint64(tx.Seq)%ledgerShardCount]
 	sh.mu.Lock()
@@ -184,8 +129,9 @@ func (sh *ledgerShard) fileSplitLocked(tx *Transaction) {
 }
 
 // view returns the Seq-ordered snapshot, rebuilding it only when rows
-// were recorded since the cached one. The version is read before the
-// stripes are merged, so a concurrent writer can at worst make the
+// were recorded since the cached one. The returned value is shared and
+// immutable — callers must not mutate it. The version is read before
+// the stripes are merged, so a concurrent writer can at worst make the
 // cached snapshot carry a few extra fully-filed rows under a stale
 // version — the next read notices the version moved and rebuilds;
 // readers never see a missing row for a version they observed.
@@ -202,32 +148,25 @@ func (l *shardedLedger) view() *ledgerView {
 		sh.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	// Gross revenue is summed over the snapshot itself (not the stripe
-	// totals) so a view is always internally consistent: its gross is
-	// exactly the sum over its rows.
-	var gross float64
-	for i := range out {
-		gross += out[i].Price
-	}
-	v := &ledgerView{version: version, txs: out, gross: gross}
+	v := &ledgerView{version: version, txs: out}
 	l.cache.Store(v)
 	return v
 }
 
-// count returns the number of recorded transactions.
-func (l *shardedLedger) count() int {
-	return int(l.recorded.Load())
-}
-
-// totals implements Ledger. It deliberately bypasses view(): building
-// the merged snapshot is O(n log n) plus an n-row allocation, and the
-// cache never helps a live market (every recorded sale bumps the
-// version), so an auditor polling totals through view() would rebuild
-// the world every sweep. Instead each stripe is scanned in place under
-// its lock — the gross re-sum walks the raw rows in append order, the
-// stripe figure reads the running total, and because both come from the
-// same locked read they can only disagree if the append-time accounting
-// itself is broken.
+// totals reports the row count and two gross figures maintained by
+// independent code paths: a re-sum over the stored rows themselves vs.
+// the running per-stripe totals accumulated at append time. Comparing
+// them is the conservation audit.
+//
+// It deliberately bypasses view(): the auditor issues it on a tight
+// cadence against the live broker, building the merged snapshot is
+// O(n log n) plus an n-row allocation, and the cache never helps a live
+// market (every recorded sale bumps the version). Instead each stripe
+// is scanned in place under its lock — the gross re-sum walks the raw
+// rows in append order, the stripe figure reads the running total, and
+// because both come from the same locked read the pair stays comparable
+// while sales land mid-call and can only disagree if the append-time
+// accounting itself is broken.
 func (l *shardedLedger) totals() (int, float64, float64) {
 	var rows int
 	var gross, stripeGross float64
@@ -244,20 +183,11 @@ func (l *shardedLedger) totals() (int, float64, float64) {
 	return rows, gross, stripeGross
 }
 
-// grossRevenue returns the sum of recorded prices across stripes.
-func (l *shardedLedger) grossRevenue() float64 {
-	var total float64
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		total += sh.total
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// splitTotals implements Ledger: the running attribution totals, read
-// per stripe under its lock — no row walk.
+// splitTotals returns the running attribution totals accumulated at
+// append time: cumulative attributed revenue per seller, the broker's
+// cumulative commission, and the gross of legacy rows that carry no
+// attribution table (recorded before the v2 upgrade). Each stripe is
+// read under its lock — O(sellers) per stripe, no row walk.
 func (l *shardedLedger) splitTotals() (map[string]float64, float64, float64) {
 	bySeller := make(map[string]float64)
 	var broker, legacy float64
@@ -274,9 +204,11 @@ func (l *shardedLedger) splitTotals() (map[string]float64, float64, float64) {
 	return bySeller, broker, legacy
 }
 
-// attributionTotals implements Ledger. Like totals() it bypasses the
-// view cache and scans each stripe in place under its lock: the rows
-// are re-summed in append order — the exact order the running totals
+// attributionTotals re-derives the per-seller totals from the rows
+// themselves and cross-checks them against the running figures — the
+// attribution half of the conservation audit (see AttributionReport).
+// Like totals() it bypasses the view cache and scans each stripe in
+// place under its lock: the rows are re-summed in append order — the exact order the running totals
 // accumulated in — so a healthy ledger's running and re-summed figures
 // agree bitwise, and any difference at all is an accounting bug, not
 // float noise. Per-row conservation (Σ shares + broker == price) is

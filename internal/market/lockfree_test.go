@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -58,7 +59,7 @@ func TestHotPathLockFreeUnderMu(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 50; i++ {
-			if _, _, err := b.Quote(ml.LinearRegression, delta); err != nil {
+			if _, _, err := b.QuoteContext(context.Background(), ml.LinearRegression, delta); err != nil {
 				done <- err
 				return
 			}
@@ -74,7 +75,7 @@ func TestHotPathLockFreeUnderMu(t *testing.T) {
 				done <- errors.New("Models() lost the offer")
 				return
 			}
-			if _, err := b.BuyAtPoint(ml.LinearRegression, delta); err != nil {
+			if _, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, delta); err != nil {
 				done <- err
 				return
 			}
@@ -140,26 +141,26 @@ func TestBrokerStressMixedOps(t *testing.T) {
 						errs <- errors.New("duplicate AddModel accepted")
 					}
 				case 1:
-					if _, _, err := b.Quote(ml.LogisticRegression, best.Delta); err != nil {
+					if _, _, err := b.QuoteContext(context.Background(), ml.LogisticRegression, best.Delta); err != nil {
 						errs <- err
 					}
 				case 2:
 					_ = b.Ledger()
 					_, _ = b.RevenueSplit()
 				case 3:
-					if _, err := b.BuyWithErrorBudget(ml.LogisticRegression, cheapest.ExpectedError); err != nil {
+					if _, err := b.BuyWithErrorBudgetForContext(context.Background(), ml.LogisticRegression, "", cheapest.ExpectedError); err != nil {
 						errs <- err
 					} else {
 						sales.Add(1)
 					}
 				case 4:
-					if _, err := b.BuyWithPriceBudget(ml.LogisticRegression, best.Price); err != nil {
+					if _, err := b.BuyWithPriceBudgetContext(context.Background(), ml.LogisticRegression, best.Price); err != nil {
 						errs <- err
 					} else {
 						sales.Add(1)
 					}
 				default:
-					if _, err := b.BuyAtPoint(ml.LogisticRegression, cheapest.Delta); err != nil {
+					if _, err := b.BuyAtPointContext(context.Background(), ml.LogisticRegression, cheapest.Delta); err != nil {
 						errs <- err
 					} else {
 						sales.Add(1)
@@ -206,11 +207,11 @@ func TestSequentialPurchaseDeterminism(t *testing.T) {
 	a, b := testBroker(t), testBroker(t)
 	script := []float64{0.1, 0.05, 0.25, 0.1, 0.04, 0.1}
 	for step, delta := range script {
-		pa, err := a.BuyAtPoint(ml.LinearRegression, delta)
+		pa, err := a.BuyAtPointContext(context.Background(), ml.LinearRegression, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, err := b.BuyAtPoint(ml.LinearRegression, delta)
+		pb, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,13 +235,13 @@ func TestSequentialPurchaseDeterminism(t *testing.T) {
 	if err := c.AddModel(ml.LinearRegression, AddModelOptions{MCSamples: 60}); err != nil {
 		t.Fatal(err)
 	}
-	pa, err := a.BuyAtPoint(ml.LinearRegression, 0.1)
+	pa, err := a.BuyAtPointContext(context.Background(), ml.LinearRegression, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pc *Purchase
 	for i := 0; i < len(script)+1; i++ { // align sequence numbers
-		if pc, err = c.BuyAtPoint(ml.LinearRegression, 0.1); err != nil {
+		if pc, err = c.BuyAtPointContext(context.Background(), ml.LinearRegression, 0.1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,7 +271,7 @@ func TestParallelPurchasesPerStreamDeterministic(t *testing.T) {
 	serial := testBroker(t)
 	want := make(map[int][]float64, n)
 	for i := 0; i < n; i++ {
-		p, err := serial.BuyAtPoint(ml.LinearRegression, delta)
+		p, err := serial.BuyAtPointContext(context.Background(), ml.LinearRegression, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +288,7 @@ func TestParallelPurchasesPerStreamDeterministic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n/8; i++ {
-				p, err := parallel.BuyAtPoint(ml.LinearRegression, delta)
+				p, err := parallel.BuyAtPointContext(context.Background(), ml.LinearRegression, delta)
 				if err != nil {
 					errs <- err
 					return
@@ -362,7 +363,7 @@ func TestQuotesCertifiedUnderPublish(t *testing.T) {
 				default:
 				}
 				row := menu[(w+i)%len(menu)]
-				price, _, err := b.Quote(ml.LogisticRegression, row.Delta)
+				price, _, err := b.QuoteContext(context.Background(), ml.LogisticRegression, row.Delta)
 				if err != nil {
 					errs <- err
 					return
@@ -372,7 +373,7 @@ func TestQuotesCertifiedUnderPublish(t *testing.T) {
 				mu.Unlock()
 				// Quote the in-flight model too: before the swap it must
 				// be unknown, after it must serve its own curve.
-				if price, _, err := b.Quote(ml.LinearSVM, row.Delta); err == nil {
+				if price, _, err := b.QuoteContext(context.Background(), ml.LinearSVM, row.Delta); err == nil {
 					mu.Lock()
 					observed = append(observed, obs{ml.LinearSVM, row.Delta, price})
 					mu.Unlock()

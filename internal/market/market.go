@@ -124,12 +124,12 @@ func (o *offer) transformFor(epsName string) (*pricing.Transform, error) {
 // Broker mediates between a seller and buyers (Figure 1B). It charges
 // the seller a commission rate on every sale.
 //
-// The serving hot path — Quote, the Buy* options, and the menu readers
-// — is lock-free: published offers live in an immutable snapshot
-// behind an atomic pointer, each sale draws its noise from an
-// independent seed-derived RNG stream (stream id = ledger sequence
-// number), and the ledger is sharded so concurrent appends contend
-// only per stripe. Only offer publication (AddModel and friends)
+// The serving hot path — QuoteContext, the Buy*Context options, and
+// the menu readers — is lock-free: published offers live in an
+// immutable snapshot behind an atomic pointer, each sale draws its
+// noise from an independent seed-derived RNG stream (stream id =
+// ledger sequence number), and the ledger is sharded so concurrent
+// appends contend only per stripe. Only offer publication (AddModel and friends)
 // serializes, under b.mu, via copy-on-write on the snapshot.
 type Broker struct {
 	// mu serializes offer publication: writers copy the current offer
@@ -149,10 +149,14 @@ type Broker struct {
 	// WithdrawSeller replace it copy-on-write under b.mu, and the sell
 	// path reads it lock-free (see attribution.go).
 	stakes atomic.Pointer[stakeTable]
-	// ledger is the transaction log. NewBroker installs the in-memory
-	// sharded implementation; AttachDurableLedger swaps in the
-	// WAL-backed one at startup.
-	ledger Ledger
+	// ledger holds the recorded rows: the broker's own in-memory ledger,
+	// or the durable ledger's after AttachDurableLedger. All reads go
+	// straight to it.
+	ledger *shardedLedger
+	// journal is the write-ahead journal behind ledger, nil for an
+	// in-memory broker. When set, sales record and release sequence
+	// numbers through it, and stake and curve changes are journaled.
+	journal *DurableLedger
 	// logical is the monotonic logical clock stamped onto ledger rows;
 	// clock supplies the wall half of the stamp (injectable, see
 	// SetClock).
@@ -394,7 +398,8 @@ func optimizeCurve(ctx context.Context, research *curves.Market) (*pricing.Curve
 // arbitrage-free curve over the transformed grid (Figure 2c).
 //
 // Unlike AddModel, this path does not use the seller's pre-transformed
-// Research field, so SimulateBuyers is unavailable for such offers.
+// Research field, so buyer populations sampled from that field do not
+// describe such offers.
 func (b *Broker) AddModelFromErrorResearch(m ml.Model, opts AddModelOptions, research []pricing.ErrorResearchPoint, deltaGrid []float64) error {
 	ctx, span := trace.Start(context.Background(), "market.add_model", "model", m.String(), "research", "error-domain")
 	defer span.End()
@@ -511,15 +516,10 @@ func (b *Broker) PriceErrorCurveFor(m ml.Model, epsName string) ([]pricing.Price
 	return pricing.PriceErrorCurve(off.curve, tr), nil
 }
 
-// BuyWithErrorBudgetFor executes option 2 against the named error
-// function's scale: cheapest version whose expected ϵ is at most
-// maxErr.
-func (b *Broker) BuyWithErrorBudgetFor(m ml.Model, epsName string, maxErr float64) (*Purchase, error) {
-	return b.BuyWithErrorBudgetForContext(context.Background(), m, epsName, maxErr)
-}
-
-// BuyWithErrorBudgetForContext is BuyWithErrorBudgetFor traced on the
-// caller's context (empty epsName selects the offer's default ϵ).
+// BuyWithErrorBudgetForContext executes option 2: the cheapest version
+// whose expected error is at most maxErr, measured on the named error
+// function's scale (empty epsName selects the offer's default ϵ). The
+// sale is traced on the caller's context.
 func (b *Broker) BuyWithErrorBudgetForContext(ctx context.Context, m ml.Model, epsName string, maxErr float64) (*Purchase, error) {
 	ctx, span := trace.Start(ctx, "market.buy", "option", "error_budget", "model", m.String())
 	defer span.End()
@@ -579,14 +579,10 @@ func (o *offer) deltaBounds() (float64, float64) {
 	return ds[0], ds[len(ds)-1]
 }
 
-// BuyAtPoint executes option 1: the buyer picks an NCP δ directly.
-func (b *Broker) BuyAtPoint(m ml.Model, delta float64) (*Purchase, error) {
-	return b.BuyAtPointContext(context.Background(), m, delta)
-}
-
-// BuyAtPointContext is BuyAtPoint traced on the caller's context: the
-// sale's price lookup, noise injection, and ledger append each become
-// child spans of the request that triggered them.
+// BuyAtPointContext executes option 1: the buyer picks an NCP δ
+// directly. The sale is traced on the caller's context: its price
+// lookup, noise injection, and ledger append each become child spans of
+// the request that triggered them.
 func (b *Broker) BuyAtPointContext(ctx context.Context, m ml.Model, delta float64) (*Purchase, error) {
 	ctx, span := trace.Start(ctx, "market.buy", "option", "point", "model", m.String())
 	defer span.End()
@@ -613,19 +609,8 @@ var ErrBudgetTooSmall = errors.New("market: budget below the cheapest offered ve
 // offered version cannot meet the requested error.
 var ErrErrorBudgetTooTight = errors.New("market: error budget below the most accurate offered version")
 
-// BuyWithErrorBudget executes option 2: cheapest version whose expected
-// error is at most maxErr (under the offer's default ϵ).
-func (b *Broker) BuyWithErrorBudget(m ml.Model, maxErr float64) (*Purchase, error) {
-	return b.BuyWithErrorBudgetForContext(context.Background(), m, "", maxErr)
-}
-
-// BuyWithPriceBudget executes option 3: the most accurate version whose
-// price is within budget.
-func (b *Broker) BuyWithPriceBudget(m ml.Model, budget float64) (*Purchase, error) {
-	return b.BuyWithPriceBudgetContext(context.Background(), m, budget)
-}
-
-// BuyWithPriceBudgetContext is BuyWithPriceBudget traced on the
+// BuyWithPriceBudgetContext executes option 3: the most accurate
+// version whose price is within budget. The sale is traced on the
 // caller's context.
 func (b *Broker) BuyWithPriceBudgetContext(ctx context.Context, m ml.Model, budget float64) (*Purchase, error) {
 	ctx, span := trace.Start(ctx, "market.buy", "option", "price_budget", "model", m.String())
@@ -707,15 +692,11 @@ func (b *Broker) BuyIdempotent(ctx context.Context, key string, buy func(context
 	return p, replayed, err
 }
 
-// Quote previews the price and expected error of the version at NCP δ
-// without executing a sale (no noise drawn, no ledger entry).
-func (b *Broker) Quote(m ml.Model, delta float64) (price, expectedError float64, err error) {
-	return b.QuoteContext(context.Background(), m, delta)
-}
-
-// QuoteContext is Quote traced on the caller's context. Lock-free: the
-// quote is evaluated on the immutable offer snapshot, so quotes keep
-// flowing while a slow AddModel holds Broker.mu.
+// QuoteContext previews the price and expected error of the version at
+// NCP δ without executing a sale (no noise drawn, no ledger entry),
+// traced on the caller's context. Lock-free: the quote is evaluated on
+// the immutable offer snapshot, so quotes keep flowing while a slow
+// AddModel holds Broker.mu.
 func (b *Broker) QuoteContext(ctx context.Context, m ml.Model, delta float64) (price, expectedError float64, err error) {
 	ctx, span := trace.Start(ctx, "market.quote", "model", m.String())
 	defer span.End()
@@ -769,7 +750,7 @@ func (b *Broker) sell(ctx context.Context, m ml.Model, off *offer, delta float64
 	seq := b.ledger.nextSeq()
 	instance, err := noise.PerturbContext(ctx, b.mech, off.optimal, delta, rng.Stream(b.saleSeed, seq))
 	if err != nil {
-		b.ledger.releaseSeq(seq)
+		b.releaseSeq(seq)
 		metCanceled.Inc()
 		return nil, err
 	}
@@ -806,14 +787,18 @@ func (b *Broker) sell(ctx context.Context, m ml.Model, off *offer, delta float64
 		rep = &pendingReplay{key: key, p: p}
 	}
 	lctx, ledger := trace.Start(ctx, "market.ledger_append", "seq", strconv.FormatUint(seq, 10))
-	err = b.ledger.record(lctx, tx, rep)
+	if b.journal != nil {
+		err = b.journal.record(lctx, tx, rep)
+	} else {
+		b.ledger.file(tx)
+	}
 	ledger.End()
 	if err != nil {
 		// The journal refused the sale; the buyer must not receive the
 		// model or be charged. Hand the sequence number back when
-		// possible (the durable ledger journals the skip otherwise —
-		// likely futile once the store failed, and harmless).
-		b.ledger.releaseSeq(seq)
+		// possible (the journal records the skip otherwise — likely
+		// futile once the store failed, and harmless).
+		b.releaseSeq(seq)
 		metPersistFailed.Inc()
 		return nil, err
 	}
@@ -823,6 +808,17 @@ func (b *Broker) sell(ctx context.Context, m ml.Model, off *offer, delta float64
 		metSellerRevenue(shares[i].SellerID).Add(shares[i].Amount)
 	}
 	return p, nil
+}
+
+// releaseSeq hands back the sequence number of an abandoned sale. With a
+// journal, a number that cannot be reclaimed is journaled as a skip, so
+// recovery can tell a canceled sale from a lost row.
+func (b *Broker) releaseSeq(seq uint64) {
+	if b.journal != nil {
+		b.journal.releaseSeq(seq)
+		return
+	}
+	b.ledger.releaseSeq(seq)
 }
 
 // SetClock overrides the wall-clock source behind Transaction stamps;
@@ -962,13 +958,11 @@ func (b *Broker) republishCurve(m ml.Model, c *pricing.Curve, journal bool) erro
 	next := *off
 	next.curve = c
 	b.publishLocked(m, &next)
-	if journal {
-		if d, ok := b.ledger.(*DurableLedger); ok {
-			// Best effort: a journal failure latches the store failed and
-			// every subsequent sale refuses to record, which /healthz
-			// surfaces far more loudly than a lost curve frame would.
-			d.journalCurve(m, c.Points())
-		}
+	if journal && b.journal != nil {
+		// Best effort: a journal failure latches the store failed and
+		// every subsequent sale refuses to record, which /healthz
+		// surfaces far more loudly than a lost curve frame would.
+		b.journal.journalCurve(m, c.Points())
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -124,7 +125,7 @@ func TestPublishedCurveIsArbitrageFree(t *testing.T) {
 
 func TestBuyAtPoint(t *testing.T) {
 	b := testBroker(t)
-	p, err := b.BuyAtPoint(ml.LinearRegression, 1.0/25)
+	p, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, 1.0/25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +136,13 @@ func TestBuyAtPoint(t *testing.T) {
 		t.Fatalf("bad purchase %+v", p)
 	}
 	// Out-of-range deltas rejected.
-	if _, err := b.BuyAtPoint(ml.LinearRegression, 1e6); err == nil {
+	if _, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, 1e6); err == nil {
 		t.Fatal("huge delta accepted")
 	}
-	if _, err := b.BuyAtPoint(ml.LinearRegression, 1e-9); err == nil {
+	if _, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, 1e-9); err == nil {
 		t.Fatal("tiny delta accepted")
 	}
-	if _, err := b.BuyAtPoint(ml.LinearSVM, 1); !errors.Is(err, ErrUnknownModel) {
+	if _, err := b.BuyAtPointContext(context.Background(), ml.LinearSVM, 1); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -152,7 +153,7 @@ func TestBuyerNeverGetsOptimalWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := b.BuyAtPoint(ml.LinearRegression, 0.1)
+	p, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestBuyWithErrorBudget(t *testing.T) {
 	menu, _ := b.PriceErrorCurve(ml.LinearRegression)
 	// Pick a budget between the menu's extremes.
 	budget := (menu[0].ExpectedError + menu[len(menu)-1].ExpectedError) / 2
-	p, err := b.BuyWithErrorBudget(ml.LinearRegression, budget)
+	p, err := b.BuyWithErrorBudgetForContext(context.Background(), ml.LinearRegression, "", budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestBuyWithErrorBudget(t *testing.T) {
 		}
 	}
 	// Impossible budget.
-	if _, err := b.BuyWithErrorBudget(ml.LinearRegression, menu[len(menu)-1].ExpectedError/2); !errors.Is(err, ErrErrorBudgetTooTight) {
+	if _, err := b.BuyWithErrorBudgetForContext(context.Background(), ml.LinearRegression, "", menu[len(menu)-1].ExpectedError/2); !errors.Is(err, ErrErrorBudgetTooTight) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -196,7 +197,7 @@ func TestBuyWithPriceBudget(t *testing.T) {
 	b := testBroker(t)
 	menu, _ := b.PriceErrorCurve(ml.LinearRegression)
 	maxPrice := menu[len(menu)-1].Price
-	p, err := b.BuyWithPriceBudget(ml.LinearRegression, maxPrice/2)
+	p, err := b.BuyWithPriceBudgetContext(context.Background(), ml.LinearRegression, maxPrice/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestBuyWithPriceBudget(t *testing.T) {
 		}
 	}
 	// A budget at/above the maximum buys the most accurate version.
-	p, err = b.BuyWithPriceBudget(ml.LinearRegression, maxPrice*2)
+	p, err = b.BuyWithPriceBudgetContext(context.Background(), ml.LinearRegression, maxPrice*2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestBuyWithPriceBudget(t *testing.T) {
 	// A budget below the cheapest version errors.
 	cheapest := menu[0].Price
 	if cheapest > 0 {
-		if _, err := b.BuyWithPriceBudget(ml.LinearRegression, cheapest/1e6); !errors.Is(err, ErrBudgetTooSmall) {
+		if _, err := b.BuyWithPriceBudgetContext(context.Background(), ml.LinearRegression, cheapest/1e6); !errors.Is(err, ErrBudgetTooSmall) {
 			t.Fatalf("err = %v", err)
 		}
 	}
@@ -230,7 +231,7 @@ func TestLedgerAndRevenueSplit(t *testing.T) {
 	b := testBroker(t)
 	var total float64
 	for i := 0; i < 5; i++ {
-		p, err := b.BuyAtPoint(ml.LinearRegression, 1.0/(float64(i)*10+2.5))
+		p, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, 1.0/(float64(i)*10+2.5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,37 +255,6 @@ func TestLedgerAndRevenueSplit(t *testing.T) {
 	}
 }
 
-func TestSimulateBuyers(t *testing.T) {
-	b := testBroker(t)
-	sum, err := b.SimulateBuyers(ml.LinearRegression, 500, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Buyers != 500 {
-		t.Fatalf("buyers %d", sum.Buyers)
-	}
-	if sum.Sales < 0 || sum.Sales > 500 {
-		t.Fatalf("sales %d", sum.Sales)
-	}
-	if math.Abs(sum.Affordability-float64(sum.Sales)/500) > 1e-12 {
-		t.Fatalf("affordability inconsistent: %+v", sum)
-	}
-	// The DP sells to a substantial fraction under concave value +
-	// unimodal demand.
-	if sum.Affordability < 0.3 {
-		t.Fatalf("affordability %v suspiciously low", sum.Affordability)
-	}
-	if len(b.Ledger()) != sum.Sales {
-		t.Fatalf("ledger %d rows, want %d", len(b.Ledger()), sum.Sales)
-	}
-	if _, err := b.SimulateBuyers(ml.LinearRegression, 0, 1); err == nil {
-		t.Fatal("zero buyers accepted")
-	}
-	if _, err := b.SimulateBuyers(ml.LinearSVM, 10, 1); !errors.Is(err, ErrUnknownModel) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestConcurrentPurchases(t *testing.T) {
 	b := testBroker(t)
 	var wg sync.WaitGroup
@@ -294,7 +264,7 @@ func TestConcurrentPurchases(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if _, err := b.BuyAtPoint(ml.LinearRegression, 0.1); err != nil {
+				if _, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, 0.1); err != nil {
 					errs <- err
 				}
 			}
@@ -329,7 +299,7 @@ func TestClassificationMarket(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := b.BuyWithPriceBudget(ml.LogisticRegression, 25)
+	p, err := b.BuyWithPriceBudgetContext(context.Background(), ml.LogisticRegression, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +312,7 @@ func BenchmarkBuyAtPoint(b *testing.B) {
 	br := testBroker(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := br.BuyAtPoint(ml.LinearRegression, 0.1); err != nil {
+		if _, err := br.BuyAtPointContext(context.Background(), ml.LinearRegression, 0.1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,12 +348,12 @@ func TestAnalyticTransformMatchesEmpiricalMenu(t *testing.T) {
 
 func TestQuoteMatchesSale(t *testing.T) {
 	b := testBroker(t)
-	price, expErr, err := b.Quote(ml.LinearRegression, 0.1)
+	price, expErr, err := b.QuoteContext(context.Background(), ml.LinearRegression, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := len(b.Ledger())
-	p, err := b.BuyAtPoint(ml.LinearRegression, 0.1)
+	p, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,16 +364,16 @@ func TestQuoteMatchesSale(t *testing.T) {
 		t.Fatal("sale not recorded")
 	}
 	// Quoting never touches the ledger.
-	if _, _, err := b.Quote(ml.LinearRegression, 0.1); err != nil {
+	if _, _, err := b.QuoteContext(context.Background(), ml.LinearRegression, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.Ledger()) != before+1 {
 		t.Fatal("quote recorded a transaction")
 	}
-	if _, _, err := b.Quote(ml.LinearRegression, 1e6); err == nil {
+	if _, _, err := b.QuoteContext(context.Background(), ml.LinearRegression, 1e6); err == nil {
 		t.Fatal("out-of-range quote accepted")
 	}
-	if _, _, err := b.Quote(ml.LinearSVM, 0.1); !errors.Is(err, ErrUnknownModel) {
+	if _, _, err := b.QuoteContext(context.Background(), ml.LinearSVM, 0.1); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("err = %v", err)
 	}
 }

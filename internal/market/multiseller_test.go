@@ -8,6 +8,7 @@ package market_test
 // being compared is itself an order-dependent float sum.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -62,9 +63,9 @@ func TestMultiSellerChaosConservation(t *testing.T) {
 				}
 				var err error
 				if (w+i)%2 == 0 {
-					_, err = b.BuyAtPoint(markettest.Model, cheap.Delta)
+					_, err = b.BuyAtPointContext(context.Background(), markettest.Model, cheap.Delta)
 				} else {
-					_, err = b.BuyWithPriceBudget(markettest.Model, best.Price)
+					_, err = b.BuyWithPriceBudgetContext(context.Background(), markettest.Model, best.Price)
 				}
 				if err != nil {
 					errs <- err
@@ -182,7 +183,7 @@ func TestMultiSellerDurableRecovery(t *testing.T) {
 	}
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 4; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[i%len(menu)].Delta); err != nil {
+		if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[i%len(menu)].Delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +191,7 @@ func TestMultiSellerDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[i%len(menu)].Delta); err != nil {
+		if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[i%len(menu)].Delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +260,7 @@ func TestMultiSellerDurableRecovery(t *testing.T) {
 	}
 
 	// The recovered broker keeps selling under the recovered stakes.
-	if _, err := b2.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+	if _, err := b2.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); err != nil {
 		t.Fatal(err)
 	}
 	last := b2.Ledger()
@@ -299,9 +300,9 @@ func TestExchangeRevenueBySellerConservation(t *testing.T) {
 				if (w+i)%2 == 0 {
 					name = "single"
 				}
-				b, err := e.Broker(name)
+				b, err := e.BrokerContext(context.Background(), name)
 				if err == nil {
-					_, err = b.BuyAtPoint(markettest.Model, delta)
+					_, err = b.BuyAtPointContext(context.Background(), markettest.Model, delta)
 				}
 				if err != nil {
 					errs <- err

@@ -2,6 +2,7 @@ package market
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -45,7 +46,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// And sells.
-	if _, err := b2.BuyAtPoint(ml.LinearRegression, 0.1); err != nil {
+	if _, err := b2.BuyAtPointContext(context.Background(), ml.LinearRegression, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	// And its restored optimum matches.

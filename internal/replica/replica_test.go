@@ -354,7 +354,7 @@ func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+		if _, err := ld.b.BuyAtPointContext(context.Background(), markettest.Model, delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +367,7 @@ func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
 	}
 	// More traffic after the boundary: the tail the bootstrap resumes.
 	for i := 0; i < 3; i++ {
-		if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+		if _, err := ld.b.BuyAtPointContext(context.Background(), markettest.Model, delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -378,7 +378,7 @@ func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
 
 	// The live tail keeps flowing after the bootstrap.
 	for i := 0; i < 2; i++ {
-		if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+		if _, err := ld.b.BuyAtPointContext(context.Background(), markettest.Model, delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -416,7 +416,7 @@ func TestFencingDeposesStaleLeader(t *testing.T) {
 	ld := newLeader(t, []string{f.url}, store.Options{}, replica.Config{})
 	ld.node.StartLeading()
 	delta := markettest.Menu(t, ld.b)[0].Delta
-	if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+	if _, err := ld.b.BuyAtPointContext(context.Background(), markettest.Model, delta); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "follower to catch up", func() bool { return converged(ld, f) })
@@ -436,13 +436,13 @@ func TestFencingDeposesStaleLeader(t *testing.T) {
 	if f.b.IsFollower() {
 		t.Fatal("promoted broker still refuses writes")
 	}
-	if _, err := f.b.BuyAtPoint(markettest.Model, delta); err != nil {
+	if _, err := f.b.BuyAtPointContext(context.Background(), markettest.Model, delta); err != nil {
 		t.Fatalf("sale on promoted node: %v", err)
 	}
 
 	// The deposed leader does not know yet; its next shipment is fenced
 	// and it steps down.
-	if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+	if _, err := ld.b.BuyAtPointContext(context.Background(), markettest.Model, delta); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "stale leader to step down", func() bool { return !ld.node.IsLeading() })
@@ -452,7 +452,7 @@ func TestFencingDeposesStaleLeader(t *testing.T) {
 	if hint := ld.b.LeaderHint(); hint != f.url {
 		t.Fatalf("leader hint = %q, want the new leader %q", hint, f.url)
 	}
-	if _, err := ld.b.BuyAtPoint(markettest.Model, delta); !errors.Is(err, market.ErrFollower) {
+	if _, err := ld.b.BuyAtPointContext(context.Background(), markettest.Model, delta); !errors.Is(err, market.ErrFollower) {
 		t.Fatalf("sale on deposed leader: %v, want ErrFollower", err)
 	}
 }
@@ -467,7 +467,7 @@ func TestAsyncFollowerServesReplicatedReads(t *testing.T) {
 	ld.node.StartLeading()
 	delta := markettest.Menu(t, ld.b)[0].Delta
 	for i := 0; i < 4; i++ {
-		if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+		if _, err := ld.b.BuyAtPointContext(context.Background(), markettest.Model, delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -503,7 +503,7 @@ func TestAsyncFollowerServesReplicatedReads(t *testing.T) {
 			t.Fatalf("curve point %d: follower %+v, leader %+v", i, fp[i], lp[i])
 		}
 	}
-	if _, err := f.b.BuyAtPoint(markettest.Model, delta); !errors.Is(err, market.ErrFollower) {
+	if _, err := f.b.BuyAtPointContext(context.Background(), markettest.Model, delta); !errors.Is(err, market.ErrFollower) {
 		t.Fatalf("follower sale: %v, want ErrFollower", err)
 	}
 }

@@ -21,9 +21,9 @@ var (
 	metDPGrid    = obs.Default.Gauge("revopt.dp_grid_points")
 )
 
-// MaximizeRevenueDP solves the relaxed revenue-maximization program (4)
-// exactly with the O(n²) dynamic program of Theorem 10, returning the
-// prices and revenue of the paper's MBP method.
+// MaximizeRevenueDPContext solves the relaxed revenue-maximization
+// program (4) exactly with the O(n²) dynamic program of Theorem 10,
+// returning the prices and revenue of the paper's MBP method.
 //
 // The DP state is (k, Δ): the optimal revenue from points k..n−1 given
 // that every remaining ratio zⱼ/aⱼ is capped at Δ. Δ only ever takes
@@ -32,13 +32,10 @@ var (
 // the coNP-hard exact optimum (Proposition 3) and its prices are
 // feasible for the weakened constraints, hence arbitrage-free
 // (Lemma 8).
-func MaximizeRevenueDP(m *curves.Market) (*Result, error) {
-	return MaximizeRevenueDPContext(context.Background(), m)
-}
-
-// MaximizeRevenueDPContext is MaximizeRevenueDP with the solve
-// recorded as a "revopt.dp_solve" span on the caller's trace, so a
-// live republish shows up inside the request that triggered it.
+//
+// The solve is recorded as a "revopt.dp_solve" span on the caller's
+// trace, so a live republish shows up inside the request that
+// triggered it.
 func MaximizeRevenueDPContext(ctx context.Context, m *curves.Market) (*Result, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -1,21 +1,22 @@
 package revopt_test
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/datamarket/mbp/internal/curves"
 	"github.com/datamarket/mbp/internal/revopt"
 )
 
-// ExampleMaximizeRevenueDP runs the Theorem 10 dynamic program on the
-// paper's Figure 5 instance and prints the prices it assigns.
-func ExampleMaximizeRevenueDP() {
+// ExampleMaximizeRevenueDPContext runs the Theorem 10 dynamic program
+// on the paper's Figure 5 instance and prints the prices it assigns.
+func ExampleMaximizeRevenueDPContext() {
 	m := &curves.Market{
 		A: []float64{1, 2, 3, 4},
 		V: []float64{100, 150, 280, 350},
 		B: []float64{0.25, 0.25, 0.25, 0.25},
 	}
-	res, _ := revopt.MaximizeRevenueDP(m)
+	res, _ := revopt.MaximizeRevenueDPContext(context.Background(), m)
 	fmt.Printf("prices %v revenue %v\n", res.Z, res.Revenue)
 	// Output:
 	// prices [100 150 225 300] revenue 193.75

@@ -5,7 +5,7 @@
 // The exact problem (program (2) in the paper) is coNP-hard
 // (Theorem 7 / Corollary 7.1). The package provides:
 //
-//   - MaximizeRevenueDP — the paper's polynomial MBP algorithm: the
+//   - MaximizeRevenueDPContext — the paper's polynomial MBP algorithm: the
 //     O(n²) dynamic program of Theorem 10 over the weakened-subadditivity
 //     relaxation (program (4)), with the factor-2 guarantee of
 //     Proposition 3.

@@ -1,6 +1,7 @@
 package revopt
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -126,7 +127,7 @@ func TestRepairPropertyFeasibleAndBelow(t *testing.T) {
 func TestDPFigure5(t *testing.T) {
 	// Figure 5(e): the polynomial MBP optimizer on the running example.
 	m := figure5Market(t)
-	res, err := MaximizeRevenueDP(m)
+	res, err := MaximizeRevenueDPContext(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestDPMatchesBruteForceOnRelaxation(t *testing.T) {
 		V: []float64{10, 30},
 		B: []float64{0.5, 0.5},
 	}
-	res, err := MaximizeRevenueDP(m)
+	res, err := MaximizeRevenueDPContext(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestDPSkipBranch(t *testing.T) {
 		V: []float64{0.01, 100},
 		B: []float64{0.01, 0.99},
 	}
-	res, err := MaximizeRevenueDP(m)
+	res, err := MaximizeRevenueDPContext(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestDPSkipBranch(t *testing.T) {
 
 func TestDPSinglePoint(t *testing.T) {
 	m := &curves.Market{A: []float64{5}, V: []float64{42}, B: []float64{1}}
-	res, err := MaximizeRevenueDP(m)
+	res, err := MaximizeRevenueDPContext(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestDPSinglePoint(t *testing.T) {
 
 func TestDPRejectsInvalidMarket(t *testing.T) {
 	m := &curves.Market{A: []float64{1, 2}, V: []float64{5, 3}, B: []float64{0.5, 0.5}}
-	if _, err := MaximizeRevenueDP(m); err == nil {
+	if _, err := MaximizeRevenueDPContext(context.Background(), m); err == nil {
 		t.Fatal("non-monotone valuations accepted")
 	}
 }
@@ -217,7 +218,7 @@ func TestExactFigure5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := MaximizeRevenueDP(m)
+	dp, err := MaximizeRevenueDPContext(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestProposition3FactorTwo(t *testing.T) {
 	r := rng.New(7)
 	for trial := 0; trial < 15; trial++ {
 		m := randomMarket(r, 2+r.Intn(4))
-		dp, err := MaximizeRevenueDP(m)
+		dp, err := MaximizeRevenueDPContext(context.Background(), m)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -462,7 +463,7 @@ func TestInterpolateArgErrors(t *testing.T) {
 
 func TestBaselinesWellBehavedAndOrdered(t *testing.T) {
 	m := figure5Market(t)
-	dp, err := MaximizeRevenueDP(m)
+	dp, err := MaximizeRevenueDPContext(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +533,7 @@ func TestDPDominatesBaselinesAcrossShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dp, err := MaximizeRevenueDP(m)
+			dp, err := MaximizeRevenueDPContext(context.Background(), m)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", vs, ds, err)
 			}
@@ -552,7 +553,7 @@ func BenchmarkDP100(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MaximizeRevenueDP(m); err != nil {
+		if _, err := MaximizeRevenueDPContext(context.Background(), m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -581,7 +582,7 @@ func TestRevenueUpperBoundBracketsOptimum(t *testing.T) {
 	r := rng.New(29)
 	check := func(m *curves.Market) {
 		t.Helper()
-		dp, err := MaximizeRevenueDP(m)
+		dp, err := MaximizeRevenueDPContext(context.Background(), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -620,7 +621,7 @@ func TestDPOptimalOnRelaxationGridSearch(t *testing.T) {
 	r := rng.New(41)
 	for trial := 0; trial < 25; trial++ {
 		m := randomMarket(r, 3)
-		dp, err := MaximizeRevenueDP(m)
+		dp, err := MaximizeRevenueDPContext(context.Background(), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -673,7 +674,7 @@ func TestDPOptimalOnRelaxationGridSearch(t *testing.T) {
 // single point of demand mass, equal grid values of v.
 func TestDPDegenerateMarkets(t *testing.T) {
 	zero := &curves.Market{A: []float64{1, 2}, V: []float64{0, 0}, B: []float64{0.5, 0.5}}
-	res, err := MaximizeRevenueDP(zero)
+	res, err := MaximizeRevenueDPContext(context.Background(), zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +682,7 @@ func TestDPDegenerateMarkets(t *testing.T) {
 		t.Fatalf("zero-valuation revenue %v", res.Revenue)
 	}
 	point := &curves.Market{A: []float64{1, 2, 3}, V: []float64{10, 10, 10}, B: []float64{0, 1, 0}}
-	res, err = MaximizeRevenueDP(point)
+	res, err = MaximizeRevenueDPContext(context.Background(), point)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,7 +705,7 @@ func TestProposition3QuickCheck(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed ^ meta.Uint64())
 		m := randomMarket(r, 2+r.Intn(3))
-		dp, err := MaximizeRevenueDP(m)
+		dp, err := MaximizeRevenueDPContext(context.Background(), m)
 		if err != nil {
 			return false
 		}

@@ -12,6 +12,7 @@ package workload
 // (scenario, menu, buyers, seed).
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -161,7 +162,7 @@ func BuildSchedule(sc Scenario, menu []pricing.PriceError, n int, seed uint64) (
 	if err != nil {
 		return nil, fmt.Errorf("workload: synthesizing population: %w", err)
 	}
-	opt, err := revopt.MaximizeRevenueDP(pop)
+	opt, err := revopt.MaximizeRevenueDPContext(context.Background(), pop)
 	if err != nil {
 		return nil, fmt.Errorf("workload: predicting optimal revenue: %w", err)
 	}
@@ -191,7 +192,7 @@ func BuildSchedule(sc Scenario, menu []pricing.PriceError, n int, seed uint64) (
 		if err != nil {
 			return nil, fmt.Errorf("workload: synthesizing post-shift population: %w", err)
 		}
-		postOpt, err := revopt.MaximizeRevenueDP(post)
+		postOpt, err := revopt.MaximizeRevenueDPContext(context.Background(), post)
 		if err != nil {
 			return nil, fmt.Errorf("workload: predicting post-shift optimal revenue: %w", err)
 		}

@@ -5,8 +5,8 @@
 #   1. every pre-crash sale is still in the ledger (same count, same
 #      sequence numbers, contiguous from 1),
 #   2. retrying the captured idempotency key replays the original sale
-#      (Idempotency-Replayed: true, same seq, same price) instead of
-#      charging again,
+#      (Idempotency-Replayed: true, same seq, same price, same per-seller
+#      shares and broker share) instead of charging again,
 #   3. per-seller attribution survives recovery exactly: the /sellers
 #      document (revenue per seller, broker share, zero conservation
 #      violations) is byte-for-byte identical across a quiescent
@@ -50,6 +50,11 @@ for i in 1 2 3; do buy >/dev/null; done
 KEYED=$(buy -H 'Idempotency-Key: smoke-key-1')
 KEYED_SEQ=$(echo "$KEYED" | grep -o '"seq":[0-9]*' | grep -o '[0-9]*')
 KEYED_PRICE=$(echo "$KEYED" | grep -o '"price":[0-9.eE+-]*' | head -1)
+# The shares objects hold no arrays, so the first ']' closes the table.
+KEYED_SHARES=$(echo "$KEYED" | grep -o '"shares":\[[^]]*\]' || true)
+KEYED_BROKER=$(echo "$KEYED" | grep -o '"brokerShare":[0-9.eE+-]*' || true)
+[ -n "$KEYED_SHARES" ] && [ -n "$KEYED_BROKER" ] || {
+  echo "keyed sale carried no attribution: $KEYED"; exit 1; }
 buy >/dev/null
 BEFORE=$(ledger_seqs)
 COUNT=$(echo "$BEFORE" | wc -l)
@@ -90,6 +95,14 @@ REPLAY_SEQ=$(echo "$REPLAY" | grep -o '"seq":[0-9]*' | grep -o '[0-9]*')
 # a retrained model or recomputed menu would betray a fresh charge.
 REPLAY_PRICE=$(echo "$REPLAY" | grep -o '"price":[0-9.eE+-]*' | head -1)
 [ "$REPLAY_PRICE" = "$KEYED_PRICE" ] || { echo "replayed $REPLAY_PRICE != original $KEYED_PRICE"; exit 1; }
+# So must the sale's attribution: the replay is rebuilt from the
+# journal, which holds the table the buyer was charged under.
+REPLAY_SHARES=$(echo "$REPLAY" | grep -o '"shares":\[[^]]*\]' || true)
+REPLAY_BROKER=$(echo "$REPLAY" | grep -o '"brokerShare":[0-9.eE+-]*' || true)
+[ "$REPLAY_SHARES" = "$KEYED_SHARES" ] || {
+  echo "replayed ${REPLAY_SHARES:-no shares} != original $KEYED_SHARES"; exit 1; }
+[ "$REPLAY_BROKER" = "$KEYED_BROKER" ] || {
+  echo "replayed ${REPLAY_BROKER:-no brokerShare} != original $KEYED_BROKER"; exit 1; }
 FINAL=$(ledger_seqs | wc -l)
 AFTER_N=$(echo "$AFTER" | wc -l)
 [ "$FINAL" -eq "$AFTER_N" ] || { echo "replay appended a ledger row ($AFTER_N -> $FINAL)"; exit 1; }
