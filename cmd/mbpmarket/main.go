@@ -410,7 +410,8 @@ func attachStore(logger *slog.Logger, b *market.Broker, dir, fsync string, chaos
 		"transactions", rs.Transactions, "skips", rs.Skips, "lost", len(rs.Lost),
 		"maxSeq", rs.MaxSeq, "replayKeys", rs.Replays,
 		"walRecords", rs.Stats.Records, "segments", rs.Stats.Segments,
-		"snapshotLoaded", rs.Stats.SnapshotLoaded, "truncatedBytes", rs.Stats.TruncatedBytes)
+		"snapshotLoaded", rs.Stats.SnapshotLoaded, "truncatedBytes", rs.Stats.TruncatedBytes,
+		"recoverySeconds", rs.Duration.Seconds())
 	return d, nil
 }
 

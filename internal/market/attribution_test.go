@@ -226,12 +226,9 @@ func TestEncodeWALTxVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pre-attribution tx: bare v1 JSON.
-	v1 := walTx{Transaction: Transaction{Seq: 1, Price: 50}}
-	rec, err := encodeWALTx(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Pre-attribution tx, as old journals hold it: bare v1 JSON, read
+	// for compatibility.
+	rec := legacyTxRecord(t, &walTx{Transaction: Transaction{Seq: 1, Price: 50}})
 	if rec[0] != '{' {
 		t.Fatalf("v1 record starts with %q, want JSON", rec[0])
 	}
@@ -240,18 +237,49 @@ func TestEncodeWALTxVersioning(t *testing.T) {
 		t.Fatalf("v1 decode: %+v isV2=%v err=%v", wr, isV2, err)
 	}
 
-	// Attributed tx: one v2 envelope, shares stripped from the JSON
-	// payload and carried in the binary table, bit-identical back.
+	// Attributed tx: one v2 envelope, the binary tx layout as payload
+	// and the binary share table as attachment, bit-identical back.
+	// Journals written before the binary layout hold a JSON payload
+	// with the shares stripped; it decodes to the same row.
 	tx := attributedTx(2, 123.456, stakes)
-	v2 := walTx{Transaction: tx}
-	rec, err = encodeWALTx(&v2)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		rec  []byte
+		open byte
+	}{
+		{"binary", encodeRecord(t, &walTx{Transaction: tx}), walTxTag},
+		{"json-v2", legacyTxRecord(t, &walTx{Transaction: tx}), '{'},
+	} {
+		ver, payload, table, err := store.DecodeRecord(c.rec)
+		if err != nil || ver != 2 {
+			t.Fatalf("%s: store decode: ver=%d err=%v", c.name, ver, err)
+		}
+		if payload[0] != c.open {
+			t.Fatalf("%s: payload opens with %#x, want %#x", c.name, payload[0], c.open)
+		}
+		if len(table) == 0 {
+			t.Fatalf("%s: empty attribution table attachment", c.name)
+		}
+		wr, isV2, err = decodeWALRecord(c.rec)
+		if err != nil || !isV2 {
+			t.Fatalf("%s: v2 decode: isV2=%v err=%v", c.name, isV2, err)
+		}
+		got := wr.Tx.Transaction
+		if math.Float64bits(got.BrokerShare) != math.Float64bits(tx.BrokerShare) {
+			t.Fatalf("%s: broker share %x, want %x", c.name, math.Float64bits(got.BrokerShare), math.Float64bits(tx.BrokerShare))
+		}
+		for i := range tx.Shares {
+			if got.Shares[i] != tx.Shares[i] {
+				t.Fatalf("%s: share %d = %+v, want %+v", c.name, i, got.Shares[i], tx.Shares[i])
+			}
+		}
+		if !conservesExactly(&got) {
+			t.Fatalf("%s: recovered row does not conserve exactly", c.name)
+		}
 	}
-	ver, payload, table, err := store.DecodeRecord(rec)
-	if err != nil || ver != 2 {
-		t.Fatalf("store decode: ver=%d err=%v", ver, err)
-	}
+
+	// The legacy JSON payload never carried the attribution.
+	_, payload, _, _ := store.DecodeRecord(legacyTxRecord(t, &walTx{Transaction: tx}))
 	var stripped walRecord
 	if err := json.Unmarshal(payload, &stripped); err != nil {
 		t.Fatal(err)
@@ -259,24 +287,11 @@ func TestEncodeWALTxVersioning(t *testing.T) {
 	if stripped.Tx.Shares != nil || stripped.Tx.BrokerShare != 0 {
 		t.Fatal("attribution leaked into the JSON payload")
 	}
-	if len(table) == 0 {
-		t.Fatal("empty attribution table attachment")
-	}
-	wr, isV2, err = decodeWALRecord(rec)
-	if err != nil || !isV2 {
-		t.Fatalf("v2 decode: isV2=%v err=%v", isV2, err)
-	}
-	got := wr.Tx.Transaction
-	if math.Float64bits(got.BrokerShare) != math.Float64bits(tx.BrokerShare) {
-		t.Fatalf("broker share %x, want %x", math.Float64bits(got.BrokerShare), math.Float64bits(tx.BrokerShare))
-	}
-	for i := range tx.Shares {
-		if got.Shares[i] != tx.Shares[i] {
-			t.Fatalf("share %d = %+v, want %+v", i, got.Shares[i], tx.Shares[i])
-		}
-	}
-	if !conservesExactly(&got) {
-		t.Fatal("recovered row does not conserve exactly")
+
+	// The encoder has no bare-v1 branch: a sale without a table is
+	// refused, not written in a form recovery would misread.
+	if _, err := encodeWALTx(&walTx{Transaction: Transaction{Seq: 3, Price: 50}}); !errors.Is(err, errWALTx) {
+		t.Fatalf("sale without attribution encoded: err = %v", err)
 	}
 
 	// Unknown kinds are decode errors, not silent no-ops.
@@ -293,14 +308,8 @@ func TestDurableRecoveryRejectsMixedEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	stakes, _ := validStakes([]SellerStake{{ID: "a", Weight: 1}, {ID: "b", Weight: 1}})
-	v2rec, err := encodeWALTx(&walTx{Transaction: attributedTx(1, 100, stakes)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1rec, err := encodeWALTx(&walTx{Transaction: Transaction{Seq: 2, Price: 40, Stamp: Stamp{Logical: 2}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2rec := encodeRecord(t, &walTx{Transaction: attributedTx(1, 100, stakes)})
+	v1rec := legacyTxRecord(t, &walTx{Transaction: Transaction{Seq: 2, Price: 40, Stamp: Stamp{Logical: 2}}})
 	if err := d.st.Append(v2rec); err != nil {
 		t.Fatal(err)
 	}
@@ -357,10 +366,7 @@ func TestFollowerRejectsEpochDowngrade(t *testing.T) {
 		t.Fatalf("replicated stakes not published: %v", got)
 	}
 
-	v2rec, err := encodeWALTx(&walTx{Transaction: attributedTx(1, 100, stakes)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2rec := encodeRecord(t, &walTx{Transaction: attributedTx(1, 100, stakes)})
 	if err := fa.ApplyRecords([][]byte{v2rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -370,10 +376,7 @@ func TestFollowerRejectsEpochDowngrade(t *testing.T) {
 	}
 	framesAfterV2 := fa.Frames()
 
-	v1rec, err := encodeWALTx(&walTx{Transaction: Transaction{Seq: 2, Price: 40, Stamp: Stamp{Logical: 2}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1rec := legacyTxRecord(t, &walTx{Transaction: Transaction{Seq: 2, Price: 40, Stamp: Stamp{Logical: 2}}})
 	if err := fa.ApplyRecords([][]byte{v1rec}); !errors.Is(err, errMixedEpoch) {
 		t.Fatalf("downgraded record applied: err = %v", err)
 	}

@@ -10,9 +10,12 @@ package market
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -41,11 +44,14 @@ const (
 // replicating followers resume splitting revenue over the same sellers.
 //
 // Record encoding is versioned at the store layer (store.DecodeRecord):
-// a tx that carries an attribution table is written as a v2 envelope —
-// this JSON document as the payload (with the tx's Shares/BrokerShare
-// stripped) plus the binary share table as the attachment, in ONE WAL
-// frame, so the sale and its attribution commit atomically. All other
-// kinds, and pre-upgrade tx records, are bare (v1) JSON.
+// a tx is written as a v2 envelope — the binary walTx layout (see
+// encodeWALTx) as the payload plus the binary share table as the
+// attachment, in ONE WAL frame, so the sale and its attribution commit
+// atomically. The other kinds are bare (v1) JSON documents of this
+// struct, and so are the tx records of journals written before
+// attribution; journals written between attribution and the binary
+// layout hold this JSON document, Shares/BrokerShare stripped, as the
+// v2 payload. Both JSON tx forms are read, never written.
 type walRecord struct {
 	Kind   string        `json:"kind"`
 	Tx     *walTx        `json:"tx,omitempty"`
@@ -133,6 +139,9 @@ type RecoveredState struct {
 	// "transactions ∪ skips ∪ lost = 1..MaxSeq" always holds and the
 	// numbers are never reused.
 	Lost []uint64
+	// Duration is how long OpenDurableLedger took to rebuild all of the
+	// above; the store.recovery_seconds gauge reports it.
+	Duration time.Duration
 }
 
 // DurableLedger is the write-through journal in front of a sharded
@@ -185,6 +194,7 @@ func (d *DurableLedger) noteTxEpoch(isV2 bool) error {
 // Broker.AttachDurableLedger. Store metrics hooks are installed on top
 // of any the caller provided.
 func OpenDurableLedger(dir string, o store.Options) (*DurableLedger, *RecoveredState, error) {
+	start := time.Now()
 	d := &DurableLedger{
 		replays: make(map[string]walReplay),
 		curves:  make(map[ml.Model][]pricing.Point),
@@ -308,6 +318,8 @@ func OpenDurableLedger(dir string, o store.Options) (*DurableLedger, *RecoveredS
 	}
 	d.skips = append(d.skips, rs.Lost...)
 
+	rs.Duration = time.Since(start)
+	metStoreRecoverySeconds.Set(rs.Duration.Seconds())
 	metStoreRecoveryRecords.Set(float64(stats.Records))
 	metStoreRecoverySegments.Set(float64(stats.Segments))
 	metStoreRecoveryTruncated.Set(float64(stats.TruncatedBytes))
@@ -321,17 +333,25 @@ func OpenDurableLedger(dir string, o store.Options) (*DurableLedger, *RecoveredS
 
 // decodeWALRecord decodes one journaled record: the store-level
 // envelope first (v1 bare JSON vs v2 payload+attribution table), then
-// the JSON body, then — for v2 transactions — the binary share table,
-// which is attached back onto the transaction. Both recovery and the
-// follower applier read records through this single path, so the two
-// can never disagree about what a record means. isV2Tx reports a
-// transaction carried in a v2 envelope (the epoch fence's input).
+// the body — the binary walTx layout when a v2 payload opens with
+// walTxTag, a JSON document otherwise — then, for v2 transactions, the
+// binary share table, which is attached back onto the transaction.
+// Both recovery and the follower applier read records through this
+// single path, so the two can never disagree about what a record
+// means. isV2Tx reports a transaction carried in a v2 envelope (the
+// epoch fence's input).
 func decodeWALRecord(rec []byte) (wr walRecord, isV2Tx bool, err error) {
 	ver, payload, table, err := store.DecodeRecord(rec)
 	if err != nil {
 		return walRecord{}, false, fmt.Errorf("market: decoding wal record envelope: %w", err)
 	}
-	if err := json.Unmarshal(payload, &wr); err != nil {
+	if ver == 2 && len(payload) > 0 && payload[0] == walTxTag {
+		wtx, err := decodeWALTx(payload)
+		if err != nil {
+			return walRecord{}, false, err
+		}
+		wr = walRecord{Kind: walKindTx, Tx: wtx}
+	} else if err := json.Unmarshal(payload, &wr); err != nil {
 		return walRecord{}, false, fmt.Errorf("market: decoding wal record: %w", err)
 	}
 	switch wr.Kind {
@@ -402,9 +422,10 @@ func (d *DurableLedger) record(ctx context.Context, tx Transaction, rep *pending
 	if err != nil {
 		return fmt.Errorf("%w: encoding: %v", ErrSaleNotRecorded, err)
 	}
-	if err := d.noteTxEpoch(tx.Shares != nil || tx.BrokerShare != 0); err != nil {
-		return fmt.Errorf("%w: %w", ErrSaleNotRecorded, err)
-	}
+	// Every sale is written as v2 (encodeWALTx refuses one without a
+	// table), so noting it latches the epoch and cannot fail: a bare v1
+	// sale replicated to this ledger later is refused.
+	_ = d.noteTxEpoch(true)
 	_, span := trace.Start(ctx, "store.append", "seq", strconv.Itoa(tx.Seq))
 	err = d.st.Append(rec)
 	span.End()
@@ -420,25 +441,266 @@ func (d *DurableLedger) record(ctx context.Context, tx Transaction, rep *pending
 	return nil
 }
 
-// encodeWALTx marshals a tx record for the journal. A transaction
-// carrying an attribution table goes out as a v2 envelope: the JSON
-// payload with Shares/BrokerShare stripped plus the binary share table
-// as the attachment, one WAL frame, so the sale and its attribution
-// commit (and replicate) atomically. A pre-attribution transaction
-// stays bare v1 JSON — byte-identical to what old readers expect.
+// walTxTag opens the binary walTx payload and names its layout. It is
+// a control byte, so no JSON document — the v2 tx payload of older
+// journals — can begin with it.
+const walTxTag = 0x01
+
+// Sizes of the binary walTx payload: the fixed part (through the
+// replay flag), and a replay entry's fixed part before its key and
+// weights.
+const (
+	walTxFixedBytes     = 1 + 6*8 + 16 + 1
+	walReplayFixedBytes = 4 + 8 + 4 + 2*8 + 16
+)
+
+// encodeWALTx encodes a tx record for the journal: a v2 envelope whose
+// payload is the binary layout below and whose attachment is the
+// binary share table, one WAL frame, so the sale and its attribution
+// commit (and replicate) atomically. It is the only tx encoding
+// written. Every sale carries a table (splitPrice always returns one),
+// and a transaction without one is refused: recovery would read its
+// empty table back as an attributed sale that conserves nothing.
+//
+// The payload is little-endian with floats as raw IEEE-754 bits, so
+// every field comes back bit for bit:
+//
+//	[1B walTxTag][8B Seq][8B Model][8B Delta][8B Price][8B ExpectedError]
+//	[8B Stamp.Logical][16B Stamp.Wall][1B replay present: 0 or 1]
+//	replay: [4B key length][key][8B Seq][4B W count][count × 8B W]
+//	        [8B Mu][8B TrainLoss][16B At]
+//
+// A wall time is [8B Unix seconds][4B nanoseconds][4B UTC offset in
+// seconds]. Values JSON cannot carry — non-finite floats, walls outside
+// RFC 3339 — are refused: /ledger and compaction snapshots are JSON,
+// so every journaled row must be one they can render.
 func encodeWALTx(wtx *walTx) ([]byte, error) {
-	if wtx.Shares == nil && wtx.BrokerShare == 0 {
-		return json.Marshal(walRecord{Kind: walKindTx, Tx: wtx})
+	if wtx.Shares == nil {
+		return nil, fmt.Errorf("%w: sale %d has no attribution table", errWALTx, wtx.Seq)
 	}
-	table := encodeShareTable(wtx.BrokerShare, wtx.Shares)
-	stripped := *wtx
-	stripped.Shares = nil
-	stripped.BrokerShare = 0
-	payload, err := json.Marshal(walRecord{Kind: walKindTx, Tx: &stripped})
+	payload, err := appendWALTx(make([]byte, 0, walTxSize(wtx)), wtx)
 	if err != nil {
 		return nil, err
 	}
-	return store.EncodeRecordV2(payload, table), nil
+	return store.EncodeRecordV2(payload, encodeShareTable(wtx.BrokerShare, wtx.Shares)), nil
+}
+
+// errWALTx reports a walTx the binary layout refuses to carry.
+var errWALTx = errors.New("market: invalid wal tx")
+
+// walTxSize is the length of wtx's binary payload.
+func walTxSize(wtx *walTx) int {
+	n := walTxFixedBytes
+	if rp := wtx.Replay; rp != nil {
+		n += walReplayFixedBytes + len(rp.Key) + 8*len(rp.W)
+	}
+	return n
+}
+
+// appendWALTx appends wtx's binary payload to b.
+func appendWALTx(b []byte, wtx *walTx) ([]byte, error) {
+	tx, rp := &wtx.Transaction, wtx.Replay
+	if !finite(tx.Delta, tx.Price, tx.ExpectedError) {
+		return nil, fmt.Errorf("%w: non-finite delta, price or expected error", errWALTx)
+	}
+	if !wallOK(tx.Stamp.Wall) {
+		return nil, fmt.Errorf("%w: wall %v outside RFC 3339", errWALTx, tx.Stamp.Wall)
+	}
+	le := binary.LittleEndian
+	b = append(b, walTxTag)
+	b = le.AppendUint64(b, uint64(tx.Seq))
+	b = le.AppendUint64(b, uint64(tx.Model))
+	b = appendFloat64(b, tx.Delta)
+	b = appendFloat64(b, tx.Price)
+	b = appendFloat64(b, tx.ExpectedError)
+	b = le.AppendUint64(b, tx.Stamp.Logical)
+	b = appendWall(b, tx.Stamp.Wall)
+	if rp == nil {
+		return append(b, 0), nil
+	}
+	if !finite(rp.Mu, rp.TrainLoss) || !finite(rp.W...) {
+		return nil, fmt.Errorf("%w: non-finite replay weights", errWALTx)
+	}
+	if !wallOK(rp.At) {
+		return nil, fmt.Errorf("%w: replay time %v outside RFC 3339", errWALTx, rp.At)
+	}
+	if len(rp.Key) > math.MaxUint32 || len(rp.W) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: replay entry too long", errWALTx)
+	}
+	b = append(b, 1)
+	b = le.AppendUint32(b, uint32(len(rp.Key)))
+	b = append(b, rp.Key...)
+	b = le.AppendUint64(b, uint64(rp.Seq))
+	b = le.AppendUint32(b, uint32(len(rp.W)))
+	for _, w := range rp.W {
+		b = appendFloat64(b, w)
+	}
+	b = appendFloat64(b, rp.Mu)
+	b = appendFloat64(b, rp.TrainLoss)
+	return appendWall(b, rp.At), nil
+}
+
+// decodeWALTx parses an appendWALTx payload. Every length is checked
+// against the bytes left before anything is sliced or allocated,
+// trailing bytes are refused, and so is every value the encoder
+// refuses, so a payload decodes only if it re-encodes to itself.
+func decodeWALTx(b []byte) (*walTx, error) {
+	r := walReader{b: b}
+	if tag := r.u8(); tag != walTxTag {
+		r.fail("tag %#x", tag)
+	}
+	wtx := &walTx{}
+	tx := &wtx.Transaction
+	tx.Seq = int(r.u64())
+	tx.Model = ml.Model(r.u64())
+	tx.Delta = r.f64()
+	tx.Price = r.f64()
+	tx.ExpectedError = r.f64()
+	tx.Stamp.Logical = r.u64()
+	tx.Stamp.Wall = r.wall()
+	switch present := r.u8(); present {
+	case 0:
+	case 1:
+		rp := &walReplay{}
+		rp.Key = string(r.take(int(r.u32())))
+		rp.Seq = int(r.u64())
+		if n := int(r.u32()); n > len(r.b)/8 {
+			r.fail("replay weight count %d exceeds the record", n)
+		} else if n > 0 {
+			rp.W = make([]float64, n)
+			for i := range rp.W {
+				rp.W[i] = r.f64()
+			}
+		}
+		rp.Mu = r.f64()
+		rp.TrainLoss = r.f64()
+		rp.At = r.wall()
+		wtx.Replay = rp
+	default:
+		r.fail("replay flag %d", present)
+	}
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return wtx, nil
+}
+
+// walReader consumes a binary walTx payload. The first failure sticks:
+// later reads return zero values and leave it in place.
+type walReader struct {
+	b   []byte
+	err error
+}
+
+func (r *walReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: "+format, append([]any{errWALTx}, args...)...)
+		r.b = nil
+	}
+}
+
+// take returns the next n bytes, or nil (failing) when fewer are left.
+func (r *walReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(r.b) {
+		r.fail("truncated: %d bytes wanted, %d left", n, len(r.b))
+		return nil
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *walReader) u8() byte {
+	if p := r.take(1); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
+func (r *walReader) u32() uint32 {
+	if p := r.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
+}
+
+func (r *walReader) u64() uint64 {
+	if p := r.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+// f64 reads a float, failing on NaN and ±Inf.
+func (r *walReader) f64() float64 {
+	f := math.Float64frombits(r.u64())
+	if !finite(f) {
+		r.fail("non-finite float")
+	}
+	return f
+}
+
+// wall reads an appendWall time into the location JSON decoding of its
+// RFC 3339 form yields: UTC at offset zero, Local where Local has the
+// offset at that instant, a fixed zone otherwise.
+func (r *walReader) wall() time.Time {
+	sec := int64(r.u64())
+	nsec := r.u32()
+	off := int(int32(r.u32()))
+	if r.err != nil {
+		return time.Time{}
+	}
+	if nsec >= 1e9 {
+		r.fail("wall nanoseconds %d", nsec)
+		return time.Time{}
+	}
+	t := time.Unix(sec, int64(nsec))
+	if off == 0 {
+		t = t.UTC()
+	} else if _, local := t.Zone(); local != off {
+		t = t.In(time.FixedZone("", off))
+	}
+	if !wallOK(t) {
+		r.fail("wall %d.%09d%+d outside RFC 3339", sec, nsec, off)
+		return time.Time{}
+	}
+	return t
+}
+
+// appendWall appends t as Unix seconds, nanoseconds and UTC offset.
+func appendWall(b []byte, t time.Time) []byte {
+	_, off := t.Zone()
+	b = binary.LittleEndian.AppendUint64(b, uint64(t.Unix()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(t.Nanosecond()))
+	return binary.LittleEndian.AppendUint32(b, uint32(int32(off)))
+}
+
+// wallOK reports whether t has an RFC 3339 form — a four-digit year
+// and a zone offset under a day — which JSON needs to carry it.
+func wallOK(t time.Time) bool {
+	_, off := t.Zone()
+	y := t.Year()
+	return 0 <= y && y <= 9999 && -86400 < off && off < 86400
+}
+
+func appendFloat64(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// finite reports whether every f is neither NaN nor ±Inf.
+func finite(fs ...float64) bool {
+	for _, f := range fs {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // journalStakes appends a stakes record so recovery and replicating

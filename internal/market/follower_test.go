@@ -88,7 +88,8 @@ func (f *shippedFollower) expect(t *testing.T, what string, recs [][]byte, rows 
 
 // shipment is a leader stream: a stakes record, then keyed sales
 // 1..sales in the v2 attribution envelope, except that the sale at
-// index v1At of the stream (when > 0) is a bare v1 record.
+// index v1At of the stream (when > 0) is a bare v1 record, built as
+// pre-attribution journals hold it.
 func shipment(t *testing.T, sales, v1At int) [][]byte {
 	t.Helper()
 	stakes, err := validStakes([]SellerStake{{ID: "a", Weight: 3}, {ID: "b", Weight: 1}})
@@ -102,15 +103,13 @@ func shipment(t *testing.T, sales, v1At int) [][]byte {
 	recs := [][]byte{stakesRec}
 	for seq := 1; seq <= sales; seq++ {
 		tx := attributedTx(seq, float64(100+seq), stakes)
+		rp := &walReplay{Key: fmt.Sprintf("key-%d", seq), Seq: seq, At: tx.Stamp.Wall}
 		if len(recs) == v1At {
 			tx.Shares, tx.BrokerShare = nil, 0
+			recs = append(recs, legacyTxRecord(t, &walTx{Transaction: tx, Replay: rp}))
+			continue
 		}
-		rp := &walReplay{Key: fmt.Sprintf("key-%d", seq), Seq: seq, At: tx.Stamp.Wall}
-		rec, err := encodeWALTx(&walTx{Transaction: tx, Replay: rp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, rec)
+		recs = append(recs, encodeRecord(t, &walTx{Transaction: tx, Replay: rp}))
 	}
 	return recs
 }

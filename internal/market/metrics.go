@@ -46,4 +46,5 @@ var (
 	metStoreRecoverySegments  = obs.Default.Gauge("store.recovery_segments")
 	metStoreRecoveryTruncated = obs.Default.Gauge("store.recovery_truncated_bytes")
 	metStoreRecoverySnapshot  = obs.Default.Gauge("store.recovery_snapshot_loaded")
+	metStoreRecoverySeconds   = obs.Default.Gauge("store.recovery_seconds")
 )

@@ -7,9 +7,11 @@
 #   2. retrying the captured idempotency key replays the original sale
 #      (Idempotency-Replayed: true, same seq, same price, same per-seller
 #      shares and broker share) instead of charging again,
-#   3. per-seller attribution survives recovery exactly: the /sellers
+#   3. the ledger and per-seller attribution survive recovery exactly:
+#      the whole /ledger document (every row's seq, price, stamps and
+#      shares, with one row sold live just before) and the /sellers
 #      document (revenue per seller, broker share, zero conservation
-#      violations) is byte-for-byte identical across a quiescent
+#      violations) are byte-for-byte identical across a quiescent
 #      kill -9 / restart cycle.
 # Stdlib tools only — JSON is picked apart with grep -o, no jq.
 set -euo pipefail
@@ -107,7 +109,11 @@ FINAL=$(ledger_seqs | wc -l)
 AFTER_N=$(echo "$AFTER" | wc -l)
 [ "$FINAL" -eq "$AFTER_N" ] || { echo "replay appended a ledger row ($AFTER_N -> $FINAL)"; exit 1; }
 
-echo "== attribution survives a quiescent crash byte-for-byte =="
+echo "== ledger and attribution survive a quiescent crash byte-for-byte =="
+# One sale served from memory, so the comparison covers a row as it was
+# sold, not only rows already read back from the journal.
+buy >/dev/null
+LEDGER_A=$(curl -fsS "$BASE/ledger")
 SELLERS_A=$(curl -fsS "$BASE/sellers")
 echo "$SELLERS_A" | grep -q '"exactViolations":0' || {
   echo "conservation violations before crash: $SELLERS_A"; exit 1; }
@@ -120,9 +126,17 @@ wait "$PID" 2>/dev/null || true
 
 start
 # No traffic ran between the capture and the kill, so recovery must
-# reproduce the attribution state EXACTLY — amounts are journaled as
-# raw float bits and Go's JSON sorts map keys, so the whole document
-# compares byte for byte.
+# reproduce the ledger and the attribution state EXACTLY — every float
+# is journaled as raw bits, every wall time as its instant and UTC
+# offset, and Go's JSON sorts map keys, so both documents compare byte
+# for byte.
+LEDGER_B=$(curl -fsS "$BASE/ledger")
+[ "$LEDGER_A" = "$LEDGER_B" ] || {
+  echo "recovered ledger differs from pre-crash:"
+  echo "before: $LEDGER_A"
+  echo "after:  $LEDGER_B"
+  exit 1
+}
 SELLERS_B=$(curl -fsS "$BASE/sellers")
 [ "$SELLERS_A" = "$SELLERS_B" ] || {
   echo "recovered attribution differs from pre-crash:"
@@ -133,4 +147,4 @@ SELLERS_B=$(curl -fsS "$BASE/sellers")
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
-echo "crash-recovery smoke OK: $AFTER_N sales survived, key replayed as seq $REPLAY_SEQ, attribution exact across recovery"
+echo "crash-recovery smoke OK: $AFTER_N sales survived, key replayed as seq $REPLAY_SEQ, ledger and attribution exact across recovery"
