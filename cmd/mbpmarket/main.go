@@ -241,6 +241,13 @@ func main() {
 		logger.Info("offers saved", "path", *save)
 	}
 
+	// A follower takes its stance before its journal is attached, so
+	// recovery leaves the numbers the leader has not shipped yet to the
+	// leader instead of journaling them as lost.
+	if *role == "follower" {
+		mp.Broker.SetFollower(*follow)
+	}
+
 	// The durable ledger replays the WAL into the broker, reports its
 	// health on /healthz, and flushes on drain.
 	var dled *market.DurableLedger
@@ -274,9 +281,6 @@ func main() {
 			if tgt := strings.TrimSpace(raw); tgt != "" {
 				targets = append(targets, tgt)
 			}
-		}
-		if *role == "follower" {
-			mp.Broker.SetFollower(*follow)
 		}
 		repl, err = replica.New(replica.Config{
 			Store:      dled.Store(),

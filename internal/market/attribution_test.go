@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/datamarket/mbp/internal/ml"
 	"github.com/datamarket/mbp/internal/store"
 )
 
@@ -232,9 +234,9 @@ func TestEncodeWALTxVersioning(t *testing.T) {
 	if rec[0] != '{' {
 		t.Fatalf("v1 record starts with %q, want JSON", rec[0])
 	}
-	wr, isV2, err := decodeWALRecord(rec)
-	if err != nil || isV2 || wr.Kind != walKindTx || wr.Tx.Seq != 1 {
-		t.Fatalf("v1 decode: %+v isV2=%v err=%v", wr, isV2, err)
+	wr, err := decodeWALRecord(rec)
+	if err != nil || attributed(&wr.Tx.Transaction) || wr.Kind != walKindTx || wr.Tx.Seq != 1 {
+		t.Fatalf("v1 decode: %+v err=%v", wr, err)
 	}
 
 	// Attributed tx: one v2 envelope, the binary tx layout as payload
@@ -260,9 +262,9 @@ func TestEncodeWALTxVersioning(t *testing.T) {
 		if len(table) == 0 {
 			t.Fatalf("%s: empty attribution table attachment", c.name)
 		}
-		wr, isV2, err = decodeWALRecord(c.rec)
-		if err != nil || !isV2 {
-			t.Fatalf("%s: v2 decode: isV2=%v err=%v", c.name, isV2, err)
+		wr, err = decodeWALRecord(c.rec)
+		if err != nil || !attributed(&wr.Tx.Transaction) {
+			t.Fatalf("%s: v2 decode: %+v err=%v", c.name, wr, err)
 		}
 		got := wr.Tx.Transaction
 		if math.Float64bits(got.BrokerShare) != math.Float64bits(tx.BrokerShare) {
@@ -296,7 +298,7 @@ func TestEncodeWALTxVersioning(t *testing.T) {
 
 	// Unknown kinds are decode errors, not silent no-ops.
 	bad, _ := json.Marshal(walRecord{Kind: "mystery"})
-	if _, _, err := decodeWALRecord(bad); err == nil {
+	if _, err := decodeWALRecord(bad); err == nil {
 		t.Fatal("unknown record kind accepted")
 	}
 }
@@ -326,22 +328,31 @@ func TestDurableRecoveryRejectsMixedEpoch(t *testing.T) {
 	}
 }
 
-func TestNoteTxEpochWriteFence(t *testing.T) {
-	d, _, err := OpenDurableLedger(t.TempDir(), store.Options{})
+// TestWriteEpochFence: the fence lets a bare v1 sale through until the
+// ledger journals a sale of its own — always v2 — and refuses one after.
+func TestWriteEpochFence(t *testing.T) {
+	b := testBroker(t)
+	d, rs, err := OpenDurableLedger(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := d.noteTxEpoch(false); err != nil {
+	b.AttachDurableLedger(d, rs)
+	v1rec := legacyTxRecord(t, &walTx{Transaction: Transaction{Seq: 2, Price: 40, Stamp: Stamp{Logical: 2}}})
+	if _, err := decodeAfter(v1rec, d.sawV2); err != nil {
 		t.Fatalf("v1 before v2: %v", err)
 	}
-	if err := d.noteTxEpoch(true); err != nil {
-		t.Fatalf("v2 latch: %v", err)
+	if _, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, 0.1); err != nil {
+		t.Fatal(err)
 	}
-	if err := d.noteTxEpoch(true); err != nil {
+	if !d.sawV2 {
+		t.Fatal("journaling a sale did not latch the fence")
+	}
+	stakes, _ := validStakes([]SellerStake{{ID: "a", Weight: 1}})
+	if _, err := decodeAfter(encodeRecord(t, &walTx{Transaction: attributedTx(3, 10, stakes)}), true); err != nil {
 		t.Fatalf("v2 after v2: %v", err)
 	}
-	if err := d.noteTxEpoch(false); !errors.Is(err, errMixedEpoch) {
+	if _, err := decodeAfter(v1rec, d.sawV2); !errors.Is(err, errMixedEpoch) {
 		t.Fatalf("v1 after v2: err = %v, want errMixedEpoch", err)
 	}
 }
@@ -352,8 +363,8 @@ func TestFollowerRejectsEpochDowngrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.AttachDurableLedger(d, rs)
 	b.SetFollower("leader:0")
+	b.AttachDurableLedger(d, rs)
 	fa := NewFollowerApplier(b, d)
 
 	stakes, _ := validStakes([]SellerStake{{ID: "a", Weight: 3}, {ID: "b", Weight: 1}})

@@ -50,12 +50,14 @@ const (
 // Defaults.
 const (
 	DefaultInterval         = 2 * time.Second
-	DefaultProbes           = 16
-	DefaultMaxK             = 3
 	DefaultMaxFsyncLag      = 5 * time.Second
 	DefaultAppendP99Ceiling = 0.25 // seconds
 	DefaultRecoverAfter     = 2
 	recentProbes            = 64 // ring served by /debug/health
+	// quotePairs is the number of random quote pairs checked per model
+	// per sweep, and maxK bounds the arbitrage attack search depth.
+	quotePairs = 16
+	maxK       = 3
 )
 
 // Config wires an Auditor to a broker.
@@ -64,11 +66,6 @@ type Config struct {
 	Broker *market.Broker
 	// Interval between sweeps (default 2s).
 	Interval time.Duration
-	// Probes is the number of random quote pairs checked per model per
-	// sweep (default 16).
-	Probes int
-	// MaxK bounds the arbitrage attack search depth (default 3).
-	MaxK int
 	// Seed drives the probe sampler; sweep n draws from
 	// rng.Stream(Seed, n), so a run's probe sequence is reproducible.
 	Seed uint64
@@ -165,12 +162,6 @@ func New(cfg Config) *Auditor {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
-	}
-	if cfg.Probes <= 0 {
-		cfg.Probes = DefaultProbes
-	}
-	if cfg.MaxK <= 0 {
-		cfg.MaxK = DefaultMaxK
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default
@@ -321,8 +312,8 @@ func (a *Auditor) sweepArbitrage(r *rng.RNG, record func(check, detail string, o
 			continue
 		}
 		maxX := pts[len(pts)-1].X
-		ok, detail := true, fmt.Sprintf("model %v: %d quote pairs clean", m, a.cfg.Probes)
-		for i := 0; i < a.cfg.Probes && ok; i++ {
+		ok, detail := true, fmt.Sprintf("model %v: %d quote pairs clean", m, quotePairs)
+		for i := 0; i < quotePairs && ok; i++ {
 			x1 := r.Uniform(0, maxX)
 			x2 := r.Uniform(0, maxX)
 			if x1 > x2 {
@@ -348,7 +339,7 @@ func (a *Auditor) sweepArbitrage(r *rng.RNG, record func(check, detail string, o
 		if target <= 0 {
 			continue
 		}
-		if atk := arbitrage.FindAttack(curve, target, a.cfg.MaxK); atk != nil {
+		if atk := arbitrage.FindAttack(curve, target, maxK); atk != nil {
 			record(CheckArbitrage, fmt.Sprintf(
 				"model %v: attack at x=%.6g: %d purchases for %.6g vs direct %.6g (saves %.6g)",
 				m, atk.TargetX, len(atk.Purchases), atk.Cost, atk.TargetPrice, atk.Savings()), false)

@@ -15,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -38,10 +40,11 @@ const (
 // walRecord is one journal entry. Kind "tx" carries a transaction
 // (with its optional idempotency entry in the same frame — see
 // pendingReplay); kind "skip" records a sequence number that was
-// allocated, canceled under concurrent traffic, and could not be
-// handed back, so recovery can account for the gap; kind "stakes"
-// records a published attribution stake table so recovery and
-// replicating followers resume splitting revenue over the same sellers.
+// allocated and never sold — canceled under concurrent traffic and not
+// handed back, or lost in flight (see RecoveredState.Lost) — so every
+// node can account for the gap; kind "stakes" records a published
+// attribution stake table so recovery and replicating followers resume
+// splitting revenue over the same sellers.
 //
 // Record encoding is versioned at the store layer (store.DecodeRecord):
 // a tx is written as a v2 envelope — the binary walTx layout (see
@@ -105,9 +108,8 @@ type ledgerState struct {
 	Stakes []SellerStake `json:"stakes,omitempty"`
 }
 
-// RecoveredState summarizes what OpenDurableLedger rebuilt; Broker.
-// AttachDurableLedger consumes it to resume serving where the previous
-// process stopped.
+// RecoveredState summarizes what OpenDurableLedger rebuilt into the
+// DurableLedger, from which Broker.AttachDurableLedger resumes serving.
 type RecoveredState struct {
 	// Stats are the raw storage-engine recovery stats.
 	Stats store.RecoveryStats
@@ -117,27 +119,18 @@ type RecoveredState struct {
 	// MaxSeq is the highest sequence number seen (sold or skipped);
 	// the sequence counter resumes past it.
 	MaxSeq uint64
-	// Logical is the highest logical-clock stamp seen; the broker's
-	// clock resumes past it.
-	Logical uint64
 	// Replays is the number of journaled idempotency entries found
 	// (before TTL filtering at seed time).
 	Replays int
-	// Curves holds the newest journaled repriced curve per model;
-	// AttachDurableLedger republishes them so the recovered broker
-	// serves the repriced menu.
-	Curves map[ml.Model][]pricing.Point
-	// Stakes is the newest journaled attribution stake table (nil when
-	// the journal predates multi-seller attribution);
-	// AttachDurableLedger republishes it so the recovered broker keeps
-	// splitting revenue over the same sellers.
-	Stakes []SellerStake
-	// Lost lists sequence numbers below MaxSeq with neither a
-	// transaction nor a skip record: sales in flight at the crash,
-	// allocated but never journaled — and therefore never acknowledged
-	// to a buyer. Recovery treats them as skips so the invariant
-	// "transactions ∪ skips ∪ lost = 1..MaxSeq" always holds and the
-	// numbers are never reused.
+	// Lost lists, ascending, the sequence numbers up to MaxSeq with
+	// neither a transaction nor a skip record: sales in flight at the
+	// crash, allocated but never journaled — and therefore never
+	// acknowledged to a buyer — so "transactions ∪ skips ∪ lost =
+	// 1..MaxSeq". Opening only reports them: a follower's journal may
+	// still receive those sales. The node that owns the numbering
+	// journals them as skip records, so they are never reused and its
+	// followers learn them: AttachDurableLedger on a broker that is not
+	// a follower, or Broker.Promote.
 	Lost []uint64
 	// Duration is how long OpenDurableLedger took to rebuild all of the
 	// above; the store.recovery_seconds gauge reports it.
@@ -154,39 +147,152 @@ type DurableLedger struct {
 	mem shardedLedger
 	st  *store.Store
 
-	// mu guards the recovery bookkeeping kept for compaction snapshots.
+	// mu guards the journal state kept beside the rows, for compaction
+	// snapshots and for the attached broker.
 	mu      sync.Mutex
 	skips   []uint64
 	replays map[string]walReplay
 	curves  map[ml.Model][]pricing.Point
 	// stakes is the newest journaled attribution stake table.
 	stakes []SellerStake
-	// sawV2 latches once an attributed (v2-envelope) transaction has
-	// been journaled, recovered, or applied. A bare v1 tx arriving
-	// after that is an epoch downgrade — some writer running the old
-	// encoding — and is rejected rather than silently filed as legacy
-	// gross, which would quietly leak sellers' revenue to the
-	// pre-attribution bucket.
+	// sawV2 latches once an attributed transaction has been journaled
+	// or applied: the epoch fence (see decodeAfter).
 	sawV2 bool
+	// logical is the highest logical-clock stamp journaled or applied.
+	logical uint64
+	// unserved is what the appliers filed that the attached broker
+	// does not serve yet; Broker.serveJournal publishes and clears it.
+	unserved struct {
+		sales          []*walTx // keyed sales, in journal order
+		curves, stakes bool     // whether curves or stakes changed
+	}
 }
 
 // errMixedEpoch reports a v1 (pre-attribution) transaction encountered
 // after v2 records: mixed-epoch downgrades are refused.
 var errMixedEpoch = fmt.Errorf("market: v1 transaction after v2 attribution records (mixed-epoch downgrade)")
 
-// noteTxEpoch enforces the downgrade fence for one tx record and
-// records its epoch. v2 latches sawV2; a v1 tx after that errors.
-func (d *DurableLedger) noteTxEpoch(isV2 bool) error {
+// decodeAfter decodes one journal record that follows content whose
+// epoch is sawV2, enforcing the epoch fence: after an attributed (v2)
+// sale, a bare v1 sale is a downgrade — some writer running the old
+// encoding — refused rather than silently filed as legacy gross, which
+// would leak sellers' revenue to the pre-attribution bucket. Only the
+// appliers latch the fence.
+func decodeAfter(rec []byte, sawV2 bool) (walRecord, error) {
+	wr, err := decodeWALRecord(rec)
+	if err == nil && sawV2 && wr.Kind == walKindTx && !attributed(&wr.Tx.Transaction) {
+		err = errMixedEpoch
+	}
+	return wr, err
+}
+
+// attributed reports whether tx carries an attribution table.
+func attributed(tx *Transaction) bool { return tx.Shares != nil || tx.BrokerShare != 0 }
+
+// apply files one decoded journal record into d: the record applier
+// recovery and FollowerApplier share. It covers rows, skips, replay
+// entries, curves, stakes, the epoch fence, the logical clock and the
+// sequence high-water mark, and queues what the attached broker serves.
+// The caller has checked the record against the fence (decodeAfter).
+func (d *DurableLedger) apply(wr walRecord) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if isV2 {
-		d.sawV2 = true
-		return nil
+	switch wr.Kind {
+	case walKindTx:
+		tx := &wr.Tx.Transaction
+		d.mem.file(*tx)
+		advanceMax(&d.mem.seq, uint64(tx.Seq))
+		d.sawV2 = d.sawV2 || attributed(tx)
+		d.logical = max(d.logical, tx.Stamp.Logical)
+		if rp := wr.Tx.Replay; rp != nil {
+			d.replays[rp.Key] = *rp
+			d.unserved.sales = append(d.unserved.sales, wr.Tx)
+		}
+	case walKindSkip:
+		d.skips = append(d.skips, wr.Seq)
+		advanceMax(&d.mem.seq, wr.Seq)
+	case walKindCurve:
+		d.curves[wr.Curve.Model] = wr.Curve.Points
+		d.unserved.curves = true
+	case walKindStakes:
+		d.stakes = append([]SellerStake(nil), wr.Stakes...)
+		d.unserved.stakes = true
 	}
-	if d.sawV2 {
-		return errMixedEpoch
+}
+
+// applySnapshot files a compaction snapshot into d as the records it
+// replaced: the snapshot applier recovery and FollowerApplier share.
+// Recovery applies it to an empty ledger. A follower bootstrapped past
+// its cursor holds a prefix of the stream the snapshot covers: the rows
+// (with their replay entries) and skips it holds — every number up to
+// its high-water mark that is not lost — are not applied twice.
+func (d *DurableLedger) applySnapshot(snap *ledgerState) {
+	hw, lost := d.mem.seq.Load(), d.lost()
+	isHeld := func(seq uint64) bool {
+		_, isLost := slices.BinarySearch(lost, seq)
+		return seq <= hw && !isLost
 	}
-	return nil
+	replays := make(map[int]*walReplay, len(snap.Replays))
+	for i := range snap.Replays {
+		replays[snap.Replays[i].Seq] = &snap.Replays[i]
+	}
+	for _, tx := range snap.Txs {
+		if !isHeld(uint64(tx.Seq)) {
+			d.apply(walRecord{Kind: walKindTx, Tx: &walTx{Transaction: tx, Replay: replays[tx.Seq]}})
+		}
+	}
+	for _, sk := range snap.Skips {
+		if !isHeld(sk) {
+			d.apply(walRecord{Kind: walKindSkip, Seq: sk})
+		}
+	}
+	for i := range snap.Curves {
+		d.apply(walRecord{Kind: walKindCurve, Curve: &snap.Curves[i]})
+	}
+	if snap.Stakes != nil {
+		d.apply(walRecord{Kind: walKindStakes, Stakes: snap.Stakes})
+	}
+	d.mu.Lock()
+	d.logical = max(d.logical, snap.Logical)
+	d.mu.Unlock()
+	advanceMax(&d.mem.seq, snap.MaxSeq)
+}
+
+// lost lists, ascending, the numbers up to the sequence high-water mark
+// with neither a row nor a skip: sales allocated but never journaled.
+// The journal is in append order, not sequence order, so a crash can
+// cut off a sale whose number is below a journaled one.
+func (d *DurableLedger) lost() []uint64 {
+	rows := d.mem.view().txs
+	d.mu.Lock()
+	held := append(make([]uint64, 0, len(rows)+len(d.skips)), d.skips...)
+	d.mu.Unlock()
+	for i := range rows {
+		held = append(held, uint64(rows[i].Seq))
+	}
+	slices.Sort(held)
+	var lost []uint64
+	next := uint64(1)
+	for _, seq := range held {
+		for ; next < seq; next++ {
+			lost = append(lost, next)
+		}
+		next = max(next, seq+1)
+	}
+	for hw := d.mem.seq.Load(); next <= hw; next++ {
+		lost = append(lost, next)
+	}
+	return lost
+}
+
+// journalLost journals each lost number as a skip record, ascending, so
+// it is never reused and the followers this node ships to account for
+// it too. Only the node that owns the numbering calls it, so two nodes
+// deriving from the same journal append the same frames.
+func (d *DurableLedger) journalLost() {
+	for _, seq := range d.lost() {
+		d.journalSkip(seq)
+	}
 }
 
 // OpenDurableLedger opens (creating if needed) the journal in dir and
@@ -199,7 +305,6 @@ func OpenDurableLedger(dir string, o store.Options) (*DurableLedger, *RecoveredS
 		replays: make(map[string]walReplay),
 		curves:  make(map[ml.Model][]pricing.Point),
 	}
-	rs := &RecoveredState{}
 
 	userAppend, userFsync := o.Hooks.OnAppend, o.Hooks.OnFsync
 	o.Hooks.OnAppend = func(el time.Duration) {
@@ -216,108 +321,34 @@ func OpenDurableLedger(dir string, o store.Options) (*DurableLedger, *RecoveredS
 		}
 	}
 
-	track := func(seq, logical uint64) {
-		if seq > rs.MaxSeq {
-			rs.MaxSeq = seq
-		}
-		if logical > rs.Logical {
-			rs.Logical = logical
-		}
-	}
 	st, stats, err := store.Open(dir, o,
 		func(r io.Reader) error {
 			var snap ledgerState
 			if err := json.NewDecoder(r).Decode(&snap); err != nil {
 				return fmt.Errorf("market: decoding ledger snapshot: %w", err)
 			}
-			for _, tx := range snap.Txs {
-				d.mem.file(tx)
-				rs.Transactions++
-				track(uint64(tx.Seq), tx.Stamp.Logical)
-				if tx.Shares != nil || tx.BrokerShare != 0 {
-					// Attributed rows in the snapshot put the journal in
-					// the v2 epoch: later bare v1 tx records are a
-					// downgrade.
-					d.sawV2 = true
-				}
-			}
-			if snap.Stakes != nil {
-				d.stakes = snap.Stakes
-			}
-			for _, seq := range snap.Skips {
-				d.skips = append(d.skips, seq)
-				rs.Skips++
-				track(seq, 0)
-			}
-			for _, rp := range snap.Replays {
-				d.replays[rp.Key] = rp
-			}
-			for _, cv := range snap.Curves {
-				d.curves[cv.Model] = cv.Points
-			}
-			track(snap.MaxSeq, snap.Logical)
+			d.applySnapshot(&snap)
 			return nil
 		},
 		func(rec []byte) error {
-			wr, isV2, err := decodeWALRecord(rec)
-			if err != nil {
-				return err
+			wr, err := decodeAfter(rec, d.sawV2)
+			if err == nil {
+				d.apply(wr)
 			}
-			switch wr.Kind {
-			case walKindTx:
-				if err := d.noteTxEpoch(isV2); err != nil {
-					return err
-				}
-				d.mem.file(wr.Tx.Transaction)
-				rs.Transactions++
-				track(uint64(wr.Tx.Seq), wr.Tx.Stamp.Logical)
-				if rp := wr.Tx.Replay; rp != nil {
-					d.replays[rp.Key] = *rp
-				}
-			case walKindSkip:
-				d.skips = append(d.skips, wr.Seq)
-				rs.Skips++
-				track(wr.Seq, 0)
-			case walKindCurve:
-				d.curves[wr.Curve.Model] = wr.Curve.Points
-			case walKindStakes:
-				d.stakes = wr.Stakes
-			}
-			return nil
+			return err
 		})
 	if err != nil {
 		return nil, nil, err
 	}
 	d.st = st
-	d.mem.seq.Store(rs.MaxSeq)
-	rs.Stats = stats
-	rs.Replays = len(d.replays)
-	rs.Stakes = append([]SellerStake(nil), d.stakes...)
-	rs.Curves = make(map[ml.Model][]pricing.Point, len(d.curves))
-	for m, pts := range d.curves {
-		rs.Curves[m] = pts
+	rs := &RecoveredState{
+		Stats:        stats,
+		Transactions: int(d.mem.recorded.Load()),
+		Skips:        len(d.skips),
+		MaxSeq:       d.mem.seq.Load(),
+		Replays:      len(d.replays),
+		Lost:         d.lost(),
 	}
-
-	// Journal order is append order, not sequence order: a crash can
-	// cut off a sale whose number is below a journaled one (allocated,
-	// in flight, never acknowledged). Those numbers become implicit
-	// skips — deterministically re-derivable on every open and carried
-	// into compaction snapshots — so the ledger's accounted set stays
-	// contiguous and a lost number is never resold.
-	seen := make(map[uint64]bool, rs.Transactions+rs.Skips)
-	for _, tx := range d.mem.view().txs {
-		seen[uint64(tx.Seq)] = true
-	}
-	for _, sk := range d.skips {
-		seen[sk] = true
-	}
-	for seq := uint64(1); seq <= rs.MaxSeq; seq++ {
-		if !seen[seq] {
-			rs.Lost = append(rs.Lost, seq)
-		}
-	}
-	d.skips = append(d.skips, rs.Lost...)
-
 	rs.Duration = time.Since(start)
 	metStoreRecoverySeconds.Set(rs.Duration.Seconds())
 	metStoreRecoveryRecords.Set(float64(stats.Records))
@@ -335,70 +366,70 @@ func OpenDurableLedger(dir string, o store.Options) (*DurableLedger, *RecoveredS
 // envelope first (v1 bare JSON vs v2 payload+attribution table), then
 // the body — the binary walTx layout when a v2 payload opens with
 // walTxTag, a JSON document otherwise — then, for v2 transactions, the
-// binary share table, which is attached back onto the transaction.
+// binary share table, which is attached back onto the transaction (so
+// a v2 sale is always attributed, a bare v1 sale never).
 // Both recovery and the follower applier read records through this
 // single path, so the two can never disagree about what a record
-// means. isV2Tx reports a transaction carried in a v2 envelope (the
-// epoch fence's input).
-func decodeWALRecord(rec []byte) (wr walRecord, isV2Tx bool, err error) {
+// means.
+func decodeWALRecord(rec []byte) (wr walRecord, err error) {
 	ver, payload, table, err := store.DecodeRecord(rec)
 	if err != nil {
-		return walRecord{}, false, fmt.Errorf("market: decoding wal record envelope: %w", err)
+		return walRecord{}, fmt.Errorf("market: decoding wal record envelope: %w", err)
 	}
 	if ver == 2 && len(payload) > 0 && payload[0] == walTxTag {
 		wtx, err := decodeWALTx(payload)
 		if err != nil {
-			return walRecord{}, false, err
+			return walRecord{}, err
 		}
 		wr = walRecord{Kind: walKindTx, Tx: wtx}
 	} else if err := json.Unmarshal(payload, &wr); err != nil {
-		return walRecord{}, false, fmt.Errorf("market: decoding wal record: %w", err)
+		return walRecord{}, fmt.Errorf("market: decoding wal record: %w", err)
 	}
 	switch wr.Kind {
 	case walKindTx:
 		if wr.Tx == nil {
-			return walRecord{}, false, fmt.Errorf("market: wal tx record without body")
+			return walRecord{}, fmt.Errorf("market: wal tx record without body")
 		}
 		if ver == 2 {
 			brokerShare, shares, err := decodeShareTable(table)
 			if err != nil {
-				return walRecord{}, false, err
+				return walRecord{}, err
 			}
 			wr.Tx.Transaction.Shares = shares
 			wr.Tx.Transaction.BrokerShare = brokerShare
-			isV2Tx = true
 		}
 	case walKindSkip:
 	case walKindCurve:
 		if wr.Curve == nil {
-			return walRecord{}, false, fmt.Errorf("market: wal curve record without body")
+			return walRecord{}, fmt.Errorf("market: wal curve record without body")
 		}
 	case walKindStakes:
 		if wr.Stakes == nil {
-			return walRecord{}, false, fmt.Errorf("market: wal stakes record without body")
+			return walRecord{}, fmt.Errorf("market: wal stakes record without body")
 		}
 	default:
-		return walRecord{}, false, fmt.Errorf("market: unknown wal record kind %q", wr.Kind)
+		return walRecord{}, fmt.Errorf("market: unknown wal record kind %q", wr.Kind)
 	}
-	return wr, isV2Tx, nil
+	return wr, nil
 }
 
 // releaseSeq hands the number back when possible; when concurrent
 // traffic already built on top of it, the permanent gap is journaled so
 // recovery can tell a canceled sale from a lost row and prove the
-// ledger prefix is still complete. A journal failure here is swallowed:
-// the store has latched failed and every subsequent sale will refuse to
-// record anyway.
+// ledger prefix is still complete.
 func (d *DurableLedger) releaseSeq(seq uint64) {
-	if d.mem.releaseSeq(seq) {
-		return
+	if !d.mem.releaseSeq(seq) {
+		d.journalSkip(seq)
 	}
-	if rec, err := json.Marshal(walRecord{Kind: walKindSkip, Seq: seq}); err == nil {
-		if err := d.st.Append(rec); err == nil {
-			d.mu.Lock()
-			d.skips = append(d.skips, seq)
-			d.mu.Unlock()
-		}
+}
+
+// journalSkip journals seq as a skip record and applies it. A journal
+// failure here is swallowed: the store has latched failed and every
+// subsequent sale will refuse to record anyway.
+func (d *DurableLedger) journalSkip(seq uint64) {
+	wr := walRecord{Kind: walKindSkip, Seq: seq}
+	if rec, err := json.Marshal(wr); err == nil && d.st.Append(rec) == nil {
+		d.apply(wr)
 	}
 }
 
@@ -422,21 +453,22 @@ func (d *DurableLedger) record(ctx context.Context, tx Transaction, rep *pending
 	if err != nil {
 		return fmt.Errorf("%w: encoding: %v", ErrSaleNotRecorded, err)
 	}
-	// Every sale is written as v2 (encodeWALTx refuses one without a
-	// table), so noting it latches the epoch and cannot fail: a bare v1
-	// sale replicated to this ledger later is refused.
-	_ = d.noteTxEpoch(true)
 	_, span := trace.Start(ctx, "store.append", "seq", strconv.Itoa(tx.Seq))
 	err = d.st.Append(rec)
 	span.End()
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrSaleNotRecorded, err)
 	}
+	// Every sale is written as v2 (encodeWALTx refuses one without a
+	// table), so journaling one latches the epoch fence: a bare v1 sale
+	// replicated to this ledger later is refused.
+	d.mu.Lock()
+	d.sawV2 = true
+	d.logical = max(d.logical, tx.Stamp.Logical)
 	if rep != nil {
-		d.mu.Lock()
 		d.replays[rep.key] = *wtx.Replay
-		d.mu.Unlock()
 	}
+	d.mu.Unlock()
 	d.mem.file(tx)
 	return nil
 }
@@ -737,17 +769,6 @@ func (d *DurableLedger) journalCurve(m ml.Model, pts []pricing.Point) error {
 	return nil
 }
 
-// replayRows returns the journaled idempotency entries (a copy).
-func (d *DurableLedger) replayRows() map[string]walReplay {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]walReplay, len(d.replays))
-	for k, v := range d.replays {
-		out[k] = v
-	}
-	return out
-}
-
 // Compact writes a snapshot of the full current ledger state and
 // deletes the WAL segments it covers. Idempotency entries older than
 // ReplayTTL are pruned from the snapshot (they could no longer be
@@ -757,6 +778,7 @@ func (d *DurableLedger) Compact() error {
 	d.mu.Lock()
 	state := ledgerState{
 		MaxSeq:  d.mem.seq.Load(),
+		Logical: d.logical,
 		Txs:     v.txs,
 		Skips:   append([]uint64(nil), d.skips...),
 		Replays: make([]walReplay, 0, len(d.replays)),
@@ -776,11 +798,6 @@ func (d *DurableLedger) Compact() error {
 	d.mu.Unlock()
 	sort.Slice(state.Curves, func(i, j int) bool { return state.Curves[i].Model < state.Curves[j].Model })
 	sort.Slice(state.Replays, func(i, j int) bool { return state.Replays[i].At.Before(state.Replays[j].At) })
-	for i := range v.txs {
-		if l := v.txs[i].Stamp.Logical; l > state.Logical {
-			state.Logical = l
-		}
-	}
 	return d.st.Snapshot(func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(&state)
 	})
@@ -809,47 +826,65 @@ func (d *DurableLedger) Dir() string { return d.st.Dir() }
 func (d *DurableLedger) Store() *store.Store { return d.st }
 
 // AttachDurableLedger swaps the broker's in-memory ledger for d's,
-// journals every later sale through d, and resumes serving state from
-// the recovered journal: the sequence counter and logical clock
-// continue past their pre-crash maxima, and journaled idempotency
-// entries still inside ReplayTTL are re-seeded into the replay cache,
-// so a client retry that straddles the restart replays the original
-// sale — same Seq, same weights, same attribution — instead of being
-// charged twice.
+// journals every later sale through d, and resumes serving what
+// recovery filed into d (see serveJournal): the sequence counter and
+// logical clock continue past their pre-crash maxima, and journaled
+// idempotency entries still inside ReplayTTL are re-seeded into the
+// replay cache, so a client retry that straddles the restart replays
+// the original sale — same Seq, same weights, same attribution —
+// instead of being charged twice. rs, the report on d, adds nothing.
+//
+// A broker that is not a follower owns the numbering, so it journals
+// the numbers recovery found lost (RecoveredState.Lost) as skip
+// records; a follower leaves them to its leader, or to Promote. Set
+// the follower stance before attaching a follower's journal.
 //
 // Call it during startup, after offers are restored and before the
 // broker serves traffic; it is not safe to use concurrently with buys.
 func (b *Broker) AttachDurableLedger(d *DurableLedger, rs *RecoveredState) {
 	b.ledger, b.journal = &d.mem, d
-	if rs == nil {
-		return
+	b.serveJournal(d)
+	if !b.follower.Load() {
+		d.journalLost()
 	}
-	if cur := b.logical.Load(); rs.Logical > cur {
-		b.logical.Store(rs.Logical)
+}
+
+// serveJournal publishes what d's appliers filed since the last call,
+// without journaling it again: the logical clock resumes past the
+// newest applied stamp, keyed sales are seeded into the replay cache,
+// and changed curves and stake tables are republished. Attach calls it
+// once for everything recovery filed, and a follower after each
+// shipment or snapshot it applies.
+func (b *Broker) serveJournal(d *DurableLedger) {
+	d.mu.Lock()
+	u := d.unserved
+	d.unserved.sales, d.unserved.curves, d.unserved.stakes = nil, false, false
+	logical, stakes := d.logical, d.stakes
+	var curves map[ml.Model][]pricing.Point
+	if u.curves {
+		curves = maps.Clone(d.curves)
 	}
-	v := d.mem.view()
-	for key, rp := range d.replayRows() {
-		i := sort.Search(len(v.txs), func(i int) bool { return v.txs[i].Seq >= rp.Seq })
-		if i >= len(v.txs) || v.txs[i].Seq != rp.Seq {
-			continue // journal damage already surfaced at Open; skip defensively
-		}
-		b.replay.Seed(key, purchaseFromReplay(v.txs[i], rp), rp.At)
+	d.mu.Unlock()
+	advanceMax(&b.logical, logical)
+	// Newest first: a key the journal holds twice (a retry sold again
+	// after its entry was evicted) replays its newest sale, as the live
+	// cache would.
+	for i := len(u.sales) - 1; i >= 0; i-- {
+		s := u.sales[i]
+		b.replay.Seed(s.Replay.Key, purchaseFromReplay(s.Transaction, *s.Replay), s.Replay.At)
 	}
-	// Republish the newest journaled repriced curve per model, without
-	// re-journaling it. Best effort: a curve for a model not on this
-	// broker's menu (or whose grid no longer matches) is skipped — the
-	// boot-time certified menu keeps serving.
-	for m, pts := range rs.Curves {
+	// Best effort: a curve for a model not on this broker's menu (or
+	// whose grid no longer matches) is skipped — the certified menu
+	// keeps serving.
+	for m, pts := range curves {
 		if c, err := pricing.NewCurve(pts); err == nil {
 			b.republishCurve(m, c, false)
 		}
 	}
-	// Resume the recovered attribution stake table, without
-	// re-journaling it (the journal already holds it). A journal that
-	// predates multi-seller attribution has no stakes record; the
-	// founder-only table NewBroker seeded keeps serving.
-	if len(rs.Stakes) > 0 {
-		_ = b.applyStakes(rs.Stakes, false)
+	// A journal that predates multi-seller attribution has no stakes
+	// record; the founder-only table NewBroker seeded keeps serving.
+	if u.stakes && len(stakes) > 0 {
+		_ = b.applyStakes(stakes, false)
 	}
 }
 

@@ -55,6 +55,26 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
+// requireJournalAccounted reopens a byte copy of the journal in dir and
+// requires its accounted set to be whole: rows rows, and together with
+// the skip records every number up to MaxSeq exactly once. Opening
+// derives Lost as the numbers with neither, so Transactions + Skips ==
+// MaxSeq with nothing lost rules out both a gap and a number counted
+// twice. (The live skip list is unexported; the journal is what a
+// restart rebuilds it from.)
+func requireJournalAccounted(t *testing.T, what, dir string, rows int) {
+	t.Helper()
+	d, rs, err := market.OpenDurableLedger(copyDir(t, dir), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if rs.Transactions != rows || uint64(rs.Transactions+rs.Skips) != rs.MaxSeq || len(rs.Lost) != 0 {
+		t.Fatalf("%s: journal holds %d rows and %d skips for max seq %d (lost %v), want %d rows accounting for every number once",
+			what, rs.Transactions, rs.Skips, rs.MaxSeq, rs.Lost, rows)
+	}
+}
+
 func sameTx(a, b market.Transaction) bool {
 	return a.Seq == b.Seq && a.Model == b.Model && a.Delta == b.Delta &&
 		a.Price == b.Price && a.ExpectedError == b.ExpectedError &&
@@ -217,6 +237,9 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 
 	b2, _, rs := durableBroker(t, crashDir, store.Options{})
 	got := b2.Ledger()
+	// Attaching a broker that is not a follower journaled the lost
+	// numbers as skips.
+	requireJournalAccounted(t, "after attach", crashDir, len(got))
 
 	// Duplicate-free, and every recovered row is byte-identical to the
 	// pre-crash row with the same seq (prefix-of-content property).

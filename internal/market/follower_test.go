@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -29,10 +31,13 @@ type shippedFollower struct {
 	appends, fsyncs int
 }
 
-func newShippedFollower(t *testing.T, faults *store.Faults) *shippedFollower {
+// newShippedFollower opens (or, on a restart, recovers) the follower
+// journal in dir. The follower stance is set before the journal is
+// attached, as mbpmarket -role follower does, so the open adds nothing.
+func newShippedFollower(t *testing.T, dir string, faults *store.Faults) *shippedFollower {
 	t.Helper()
 	f := &shippedFollower{b: testBroker(t)}
-	d, rs, err := OpenDurableLedger(t.TempDir(), store.Options{
+	d, rs, err := OpenDurableLedger(dir, store.Options{
 		Faults: faults,
 		Hooks: store.Hooks{
 			OnAppend: func(time.Duration) { f.appends++ },
@@ -43,8 +48,8 @@ func newShippedFollower(t *testing.T, faults *store.Faults) *shippedFollower {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
-	f.b.AttachDurableLedger(d, rs)
 	f.b.SetFollower("leader:0")
+	f.b.AttachDurableLedger(d, rs)
 	f.d = d
 	if f.node, err = replica.New(replica.Config{Store: d.Store(), Applier: NewFollowerApplier(f.b, d), Broker: f.b}); err != nil {
 		t.Fatal(err)
@@ -84,6 +89,72 @@ func (f *shippedFollower) expect(t *testing.T, what string, recs [][]byte, rows 
 	if err := f.d.Healthy(); err != nil {
 		t.Fatalf("%s: store unhealthy: %v", what, err)
 	}
+	requireAccounted(t, what, f.d)
+}
+
+// requireAccounted checks a ledger's accounted set: its rows and skips
+// are disjoint and, with the sales the caller knows are still in
+// flight, account for every number from 1 to the sequence high-water
+// mark exactly once.
+func requireAccounted(tb testing.TB, what string, d *DurableLedger, inFlight ...uint64) {
+	tb.Helper()
+	hw := d.mem.seq.Load()
+	count := make(map[uint64]int)
+	for _, tx := range d.mem.view().txs {
+		count[uint64(tx.Seq)]++
+	}
+	d.mu.Lock()
+	for _, sk := range d.skips {
+		count[sk]++
+	}
+	d.mu.Unlock()
+	for _, seq := range inFlight {
+		count[seq]++
+	}
+	for seq := uint64(1); seq <= hw; seq++ {
+		if count[seq] != 1 {
+			tb.Fatalf("%s: seq %d is accounted %d times by rows, skips and in-flight sales, want once (high-water %d)",
+				what, seq, count[seq], hw)
+		}
+	}
+	if len(count) != int(hw) {
+		tb.Fatalf("%s: %d numbers accounted, want the %d up to the high-water mark", what, len(count), hw)
+	}
+}
+
+// reopen closes d and recovers its directory, requiring the rows, skips
+// and sequence high-water mark the live ledger held and nothing lost.
+func reopen(t *testing.T, d *DurableLedger) *DurableLedger {
+	t.Helper()
+	rows, hw := d.mem.view().txs, d.mem.seq.Load()
+	d.mu.Lock()
+	skips := slices.Clone(d.skips)
+	d.mu.Unlock()
+	slices.Sort(skips)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, rs, err := OpenDurableLedger(d.Dir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d2.Close() })
+	got := d2.mem.view().txs
+	if len(got) != len(rows) {
+		t.Fatalf("reopened: %d rows, live ledger held %d", len(got), len(rows))
+	}
+	for i := range rows {
+		if !sameTxBits(got[i], rows[i]) {
+			t.Fatalf("reopened: row %d is %+v, live ledger held %+v", i, got[i], rows[i])
+		}
+	}
+	gotSkips := slices.Clone(d2.skips)
+	slices.Sort(gotSkips)
+	if !slices.Equal(gotSkips, skips) || rs.MaxSeq != hw || len(rs.Lost) != 0 {
+		t.Fatalf("reopened: skips %v, max seq %d, lost %v; live ledger held skips %v at high-water %d",
+			gotSkips, rs.MaxSeq, rs.Lost, skips, hw)
+	}
+	return d2
 }
 
 // shipment is a leader stream: a stakes record, then keyed sales
@@ -115,7 +186,7 @@ func shipment(t *testing.T, sales, v1At int) [][]byte {
 }
 
 func TestFollowerBatchKeepsPrefixBeforeDowngrade(t *testing.T) {
-	f := newShippedFollower(t, nil)
+	f := newShippedFollower(t, t.TempDir(), nil)
 	// Record 3 is a bare v1 sale after two v2 sales: the epoch fence
 	// rejects it, and records [0, 3) are journaled and applied.
 	recs := shipment(t, 4, 3)
@@ -163,7 +234,7 @@ func TestFollowerPromotedReplayKeepsAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := newShippedFollower(t, nil)
+	f := newShippedFollower(t, t.TempDir(), nil)
 	if code := f.post(0, recs); code != http.StatusOK {
 		t.Fatalf("POST of the leader's records: HTTP %d", code)
 	}
@@ -184,7 +255,7 @@ func TestFollowerPromotedReplayKeepsAttribution(t *testing.T) {
 func TestFollowerBatchFsyncFailureAppliesNothing(t *testing.T) {
 	injected := errors.New("injected fsync")
 	failSync := false
-	f := newShippedFollower(t, &store.Faults{Sync: func() error {
+	f := newShippedFollower(t, t.TempDir(), &store.Faults{Sync: func() error {
 		if failSync {
 			failSync = false
 			return injected
@@ -208,7 +279,7 @@ func TestFollowerBatchFsyncFailureAppliesNothing(t *testing.T) {
 }
 
 func TestFollowerBatchDedupsOverlappingChunk(t *testing.T) {
-	f := newShippedFollower(t, nil)
+	f := newShippedFollower(t, t.TempDir(), nil)
 	recs := shipment(t, 6, 0)
 	if code := f.post(0, recs[:3]); code != http.StatusOK {
 		t.Fatalf("first chunk: HTTP %d", code)
@@ -232,4 +303,136 @@ func TestFollowerBatchDedupsOverlappingChunk(t *testing.T) {
 		t.Fatalf("OnAppend fired %d times and OnFsync %d; want %d (one per frame) and 2 (one per shipment with new frames)",
 			f.appends, f.fsyncs, len(recs))
 	}
+}
+
+// replayRows returns the journaled idempotency entries (a copy).
+func (d *DurableLedger) replayRows() map[string]walReplay {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return maps.Clone(d.replays)
+}
+
+// outOfOrder is a leader stream that journaled sale 3 before sale 2:
+// the leader allocates a number before it journals the sale, so
+// concurrent sales can reach the journal in either order.
+func outOfOrder(t *testing.T) [][]byte {
+	recs := shipment(t, 3, 0)
+	return [][]byte{recs[0], recs[1], recs[3], recs[2]}
+}
+
+// TestFollowerRestartMidGapFilesLateSaleOnce: the follower restarts
+// between the shipments of sale 3 and sale 2. Its open must not derive 2
+// as lost — only the node that owns the numbering may — so when sale 2
+// arrives it is filed once, and a compaction and a reopen keep three
+// rows and no skip.
+func TestFollowerRestartMidGapFilesLateSaleOnce(t *testing.T) {
+	dir := t.TempDir()
+	recs := outOfOrder(t)
+	f := newShippedFollower(t, dir, nil)
+	if code := f.post(0, recs[:3]); code != http.StatusOK {
+		t.Fatalf("POST of sales 1 and 3: HTTP %d", code)
+	}
+	requireAccounted(t, "before the restart", f.d, 2)
+	if err := f.d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f = newShippedFollower(t, dir, nil)
+	requireAccounted(t, "after the restart", f.d, 2)
+	if code := f.post(3, recs[3:]); code != http.StatusOK {
+		t.Fatalf("POST of sale 2: HTTP %d", code)
+	}
+	f.expect(t, "after the late sale", recs, 3)
+	if err := f.d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	requireAccounted(t, "after compaction", f.d)
+	d := reopen(t, f.d)
+	requireAccounted(t, "reopened", d)
+	if len(d.skips) != 0 || d.mem.seq.Load() != 3 {
+		t.Fatalf("reopened: skips %v at high-water %d, want none at 3", d.skips, d.mem.seq.Load())
+	}
+}
+
+// TestFollowerPromotedWithGapJournalsLost: the leader died with sale 2
+// in flight after shipping sale 3. Promotion makes the follower the
+// owner of the numbering, so it journals 2 as a skip record: the live
+// node and a reopen of its journal agree, and the next sale takes 4. A
+// stale leader restarted on the same three frames derives the same
+// number and appends the same skip frame.
+func TestFollowerPromotedWithGapJournalsLost(t *testing.T) {
+	recs := outOfOrder(t)[:3]
+	f := newShippedFollower(t, t.TempDir(), nil)
+	if code := f.post(0, recs); code != http.StatusOK {
+		t.Fatalf("POST of sales 1 and 3: HTTP %d", code)
+	}
+	requireAccounted(t, "before promotion", f.d, 2)
+	f.b.Promote()
+	requireAccounted(t, "after promotion", f.d)
+	frames, digest := f.d.st.Frames(), f.d.st.StreamDigest()
+	if frames != uint64(len(recs))+1 {
+		t.Fatalf("promotion journaled %d frames, want one skip frame", frames-uint64(len(recs)))
+	}
+
+	staleDir := t.TempDir()
+	st, _, err := store.Open(staleDir, store.Options{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale, rs, err := OpenDurableLedger(staleDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Close()
+	if !slices.Equal(rs.Lost, []uint64{2}) {
+		t.Fatalf("stale leader's open derived lost %v, want [2]", rs.Lost)
+	}
+	requireAccounted(t, "stale leader opened", stale, 2)
+	testBroker(t).AttachDurableLedger(stale, rs)
+	requireAccounted(t, "stale leader attached", stale)
+	if stale.st.Frames() != frames || stale.st.StreamDigest() != digest {
+		t.Fatalf("stale leader: frames %d digest %08x, promoted follower: %d/%08x",
+			stale.st.Frames(), stale.st.StreamDigest(), frames, digest)
+	}
+
+	p, err := f.b.BuyAtPointContext(context.Background(), ml.LinearRegression, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Seq != 4 {
+		t.Fatalf("first sale after promotion got seq %d, want 4", p.Seq)
+	}
+	requireAccounted(t, "after a sale", f.d)
+	requireAccounted(t, "reopened", reopen(t, f.d))
+}
+
+// TestFollowerFailedAppendLeavesEpochFenceOpen: a shipment that moves
+// from pre-attribution (v1) to attributed (v2) sales is legal. When the
+// follower fails to journal it nothing is applied, so the epoch fence
+// must not latch either: the re-shipped stream is accepted.
+func TestFollowerFailedAppendLeavesEpochFenceOpen(t *testing.T) {
+	injected := errors.New("injected fsync")
+	failSync := false
+	f := newShippedFollower(t, t.TempDir(), &store.Faults{Sync: func() error {
+		if failSync {
+			failSync = false
+			return injected
+		}
+		return nil
+	}})
+	recs := shipment(t, 3, 1)
+	failSync = true
+	if code := f.post(0, recs); code != http.StatusInternalServerError {
+		t.Fatalf("POST under a failing fsync: HTTP %d, want 500", code)
+	}
+	f.expect(t, "after the failed append", nil, 0)
+	if code := f.post(0, recs); code != http.StatusOK {
+		t.Fatalf("re-shipped POST: HTTP %d, want 200", code)
+	}
+	f.expect(t, "after the re-ship", recs, 3)
 }

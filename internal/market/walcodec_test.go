@@ -165,9 +165,9 @@ func TestWALTxRoundTripBitExact(t *testing.T) {
 	for name, wtx := range roundTripCases(t) {
 		t.Run(name, func(t *testing.T) {
 			rec := encodeRecord(t, wtx)
-			wr, isV2, err := decodeWALRecord(rec)
-			if err != nil || !isV2 || wr.Kind != walKindTx {
-				t.Fatalf("decode: kind %q isV2=%v err=%v", wr.Kind, isV2, err)
+			wr, err := decodeWALRecord(rec)
+			if err != nil || wr.Kind != walKindTx || !attributed(&wr.Tx.Transaction) {
+				t.Fatalf("decode: kind %q err=%v", wr.Kind, err)
 			}
 			if !sameTxBits(wr.Tx.Transaction, wtx.Transaction) {
 				t.Fatalf("row came back %+v, want %+v", wr.Tx.Transaction, wtx.Transaction)
@@ -294,7 +294,7 @@ func FuzzWALTxDecode(f *testing.F) {
 		}
 		// The record path around it never panics either, and reads a
 		// payload opening with the tag exactly as the decoder does.
-		wr, _, recErr := decodeWALRecord(store.EncodeRecordV2(payload, table))
+		wr, recErr := decodeWALRecord(store.EncodeRecordV2(payload, table))
 		if len(payload) > 0 && payload[0] == walTxTag && (recErr == nil) != (err == nil) {
 			t.Fatalf("record path err %v, decoder err %v", recErr, err)
 		}
@@ -411,7 +411,7 @@ func TestDurableRecoversPreBinaryJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Transactions != 5 || rs.Skips != 1 || rs.MaxSeq != 6 || rs.Logical != 6 || rs.Replays != 4 || len(rs.Lost) != 0 {
+	if rs.Transactions != 5 || rs.Skips != 1 || rs.MaxSeq != 6 || d.logical != 6 || rs.Replays != 4 || len(rs.Lost) != 0 {
 		t.Fatalf("recovered %+v", rs)
 	}
 	var rows []Transaction
@@ -424,18 +424,18 @@ func TestDurableRecoversPreBinaryJournal(t *testing.T) {
 				replays[rp.Key] = *rp
 			}
 		case walKindStakes:
-			if len(rs.Stakes) != len(wr.Stakes) {
-				t.Fatalf("recovered stakes %v, want %v", rs.Stakes, wr.Stakes)
+			if len(d.stakes) != len(wr.Stakes) {
+				t.Fatalf("recovered stakes %v, want %v", d.stakes, wr.Stakes)
 			}
 			for i := range wr.Stakes {
-				if rs.Stakes[i].ID != wr.Stakes[i].ID || !sameBits(rs.Stakes[i].Weight, wr.Stakes[i].Weight) {
-					t.Fatalf("recovered stakes %v, want %v", rs.Stakes, wr.Stakes)
+				if d.stakes[i].ID != wr.Stakes[i].ID || !sameBits(d.stakes[i].Weight, wr.Stakes[i].Weight) {
+					t.Fatalf("recovered stakes %v, want %v", d.stakes, wr.Stakes)
 				}
 			}
 		case walKindCurve:
-			got := rs.Curves[wr.Curve.Model]
-			if len(rs.Curves) != 1 || fmt.Sprint(got) != fmt.Sprint(wr.Curve.Points) {
-				t.Fatalf("recovered curves %v, want %v", rs.Curves, wr.Curve.Points)
+			got := d.curves[wr.Curve.Model]
+			if len(d.curves) != 1 || fmt.Sprint(got) != fmt.Sprint(wr.Curve.Points) {
+				t.Fatalf("recovered curves %v, want %v", d.curves, wr.Curve.Points)
 			}
 		}
 	}
@@ -515,8 +515,8 @@ func TestDurableRecoversPreBinaryJournal(t *testing.T) {
 	}
 	defer fd.Close()
 	fb := testBroker(t)
-	fb.AttachDurableLedger(fd, frs)
 	fb.SetFollower("leader:0")
+	fb.AttachDurableLedger(fd, frs)
 	if err := NewFollowerApplier(fb, fd).ApplyRecords(recs); err != nil {
 		t.Fatal(err)
 	}
@@ -527,10 +527,13 @@ func TestDurableRecoversPreBinaryJournal(t *testing.T) {
 	checkReplays("replicated", fd.replayRows(), liveReplays)
 }
 
-// BenchmarkDurableRecovery times OpenDurableLedger over a journal of
-// 8000 keyed sales split over three sellers, written in the binary tx
-// layout and in the JSON-v2 layout that preceded it, and reports the
-// cost per record. Each iteration checks it recovered every row and
+// BenchmarkDurableRecovery times what a restart spends on a journal of
+// 8000 keyed sales split over three sellers, per record: OpenDurableLedger
+// plus AttachDurableLedger on a fresh broker — the recovery half of
+// perfbench's setup_s — over the binary tx layout and the JSON-v2 layout
+// that preceded it, and, as "follower", a fresh follower applying the
+// binary journal's records through ApplyRecords in shipment-sized
+// chunks. Each iteration checks it recovered or applied every row and
 // every replay entry.
 func BenchmarkDurableRecovery(b *testing.B) {
 	const sales = 8000
@@ -542,7 +545,30 @@ func BenchmarkDurableRecovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Fresh brokers are restored from one trained broker's offers, as
+	// markettest builds them (which this package's tests cannot import).
+	proto := testBroker(b)
+	var offers bytes.Buffer
+	if err := proto.SaveOffers(&offers); err != nil {
+		b.Fatal(err)
+	}
+	fresh := func() *Broker {
+		nb, err := NewBroker(proto.seller, proto.mech, 7, 0.1)
+		if err == nil {
+			err = nb.LoadOffers(bytes.NewReader(offers.Bytes()))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		return nb
+	}
+	check := func(d *DurableLedger) {
+		if rows, _, _ := d.mem.totals(); rows != sales || len(d.replays) != sales {
+			b.Fatalf("%d rows and %d replay entries, want %d of each", rows, len(d.replays), sales)
+		}
+	}
 	wall := time.Now()
+	var shipped [][]byte // the binary journal's records
 	for _, layout := range []struct {
 		name   string
 		encode func(testing.TB, *walTx) []byte
@@ -550,44 +576,90 @@ func BenchmarkDurableRecovery(b *testing.B) {
 		{"binary", encodeRecord},
 		{"json-v2", legacyTxRecord},
 	} {
+		dir := b.TempDir()
+		st, _, err := store.Open(dir, store.Options{Policy: store.FsyncNever}, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		recs := [][]byte{stakesRec}
+		for seq := 1; seq <= sales; seq++ {
+			tx := attributedTx(seq, 100+float64(seq%97)/7, stakes)
+			tx.Stamp.Wall = wall.Add(time.Duration(seq) * time.Millisecond)
+			w := make([]float64, 9)
+			for i := range w {
+				w[i] = math.Sin(float64(seq*len(w) + i))
+			}
+			recs = append(recs, layout.encode(b, &walTx{Transaction: tx, Replay: &walReplay{
+				Key: fmt.Sprintf("seed-%d", seq), Seq: seq, W: w, Mu: 1e-3, TrainLoss: 1 + float64(seq)/sales, At: tx.Stamp.Wall,
+			}}))
+		}
+		if err := st.Append(recs...); err != nil {
+			b.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if shipped == nil {
+			shipped = recs
+		}
 		b.Run(layout.name, func(b *testing.B) {
-			dir := b.TempDir()
-			st, _, err := store.Open(dir, store.Options{Policy: store.FsyncNever}, nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			recs := [][]byte{stakesRec}
-			for seq := 1; seq <= sales; seq++ {
-				tx := attributedTx(seq, 100+float64(seq%97)/7, stakes)
-				tx.Stamp.Wall = wall.Add(time.Duration(seq) * time.Millisecond)
-				w := make([]float64, 9)
-				for i := range w {
-					w[i] = math.Sin(float64(seq*len(w) + i))
-				}
-				recs = append(recs, layout.encode(b, &walTx{Transaction: tx, Replay: &walReplay{
-					Key: fmt.Sprintf("seed-%d", seq), Seq: seq, W: w, Mu: 1e-3, TrainLoss: 1 + float64(seq)/sales, At: tx.Stamp.Wall,
-				}}))
-			}
-			if err := st.Append(recs...); err != nil {
-				b.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				b.Fatal(err)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				br := fresh()
+				b.StartTimer()
 				d, rs, err := OpenDurableLedger(dir, store.Options{Policy: store.FsyncNever})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if rs.Transactions != sales || rs.Replays != sales {
-					b.Fatalf("recovered %d rows and %d replay entries, want %d of each", rs.Transactions, rs.Replays, sales)
-				}
+				br.AttachDurableLedger(d, rs)
+				b.StopTimer()
+				check(d)
 				if err := d.Close(); err != nil {
 					b.Fatal(err)
 				}
+				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sales), "ns/record")
 		})
 	}
+
+	// Shipments as a catching-up shipper cuts them: up to the replica
+	// layer's default 256 KiB chunk.
+	var chunks [][][]byte
+	for start, size := 0, 0; start < len(shipped); {
+		end := start
+		for size = 0; end < len(shipped) && (end == start || size+len(shipped[end]) <= 256<<10); end++ {
+			size += len(shipped[end])
+		}
+		chunks = append(chunks, shipped[start:end])
+		start = end
+	}
+	b.Run("follower", func(b *testing.B) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			br := fresh()
+			d, rs, err := OpenDurableLedger(b.TempDir(), store.Options{Policy: store.FsyncNever})
+			if err != nil {
+				b.Fatal(err)
+			}
+			br.SetFollower("leader:0")
+			br.AttachDurableLedger(d, rs)
+			fa := NewFollowerApplier(br, d)
+			b.StartTimer()
+			for _, chunk := range chunks {
+				if err := fa.ApplyRecords(chunk); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			check(d)
+			if err := d.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sales), "ns/record")
+	})
 }

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -44,8 +46,8 @@ func newFollower(t testing.TB, o store.Options) *clusterNode {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
-	b.AttachDurableLedger(d, rs)
 	b.SetFollower("")
+	b.AttachDurableLedger(d, rs)
 	mux := http.NewServeMux()
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -121,6 +123,38 @@ func sameLedgers(t *testing.T, name string, a, b []market.Transaction) {
 			a[i].Price != b[i].Price || a[i].Stamp.Logical != b[i].Stamp.Logical {
 			t.Fatalf("%s: row %d differs: %+v vs %+v", name, i, a[i], b[i])
 		}
+	}
+}
+
+// requireJournalAccounted reopens a byte copy of n's journal and
+// requires its accounted set to be whole: n's ledger rows, and together
+// with the skip records every number up to MaxSeq exactly once. Opening
+// derives Lost as the numbers with neither, so Transactions + Skips ==
+// MaxSeq with nothing lost rules out both a gap and a double count.
+func requireJournalAccounted(t *testing.T, what string, n *clusterNode) {
+	t.Helper()
+	dir := t.TempDir()
+	entries, err := os.ReadDir(n.d.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		buf, err := os.ReadFile(filepath.Join(n.d.Dir(), e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, rs, err := market.OpenDurableLedger(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if rows := len(n.b.Ledger()); rs.Transactions != rows || uint64(rs.Transactions+rs.Skips) != rs.MaxSeq || len(rs.Lost) != 0 {
+		t.Fatalf("%s: journal holds %d rows and %d skips for max seq %d (lost %v), the ledger %d rows",
+			what, rs.Transactions, rs.Skips, rs.MaxSeq, rs.Lost, rows)
 	}
 }
 
@@ -375,6 +409,8 @@ func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
 	ld.node.StartLeading()
 	waitFor(t, 15*time.Second, "snapshot bootstrap + tail", func() bool { return converged(ld, f) })
 	sameLedgers(t, "post-bootstrap", ld.b.Ledger(), f.b.Ledger())
+	requireJournalAccounted(t, "leader post-bootstrap", ld)
+	requireJournalAccounted(t, "follower post-bootstrap", f)
 
 	// The live tail keeps flowing after the bootstrap.
 	for i := 0; i < 2; i++ {
@@ -384,6 +420,7 @@ func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
 	}
 	waitFor(t, 15*time.Second, "live tail after bootstrap", func() bool { return converged(ld, f) })
 	sameLedgers(t, "post-tail", ld.b.Ledger(), f.b.Ledger())
+	requireJournalAccounted(t, "follower post-tail", f)
 	rows := f.b.Ledger()
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Seq != rows[i-1].Seq+1 {
@@ -405,6 +442,7 @@ func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
 	if rows, want := len(f.b.Ledger()), len(ld.b.Ledger()); rows != want {
 		t.Fatalf("promote replay grew the ledger to %d rows, want %d", rows, want)
 	}
+	requireJournalAccounted(t, "promoted follower", f)
 }
 
 // TestFencingDeposesStaleLeader: promoting a follower bumps its

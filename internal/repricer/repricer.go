@@ -46,10 +46,10 @@ const (
 	DefaultInterval = 5 * time.Second
 	DefaultWindow   = 4
 	DefaultExplore  = 0.05
-	DefaultMaxK     = 3
 	// attackProbes is how many seeded exact attack searches gate each
-	// candidate before publish.
+	// candidate before publish, and maxK bounds their depth.
 	attackProbes = 4
+	maxK         = 3
 	// exploreProb is the per-arm, per-epoch probability of an
 	// exploration perturbation. Perturbing every arm every epoch keeps
 	// too much of the menu overshot at once — an arm priced at its
@@ -99,8 +99,6 @@ type Config struct {
 	// Seed drives the exploration and attack-target randomness; epoch n
 	// draws from rng.Stream(Seed, n+1).
 	Seed uint64
-	// MaxK bounds the pre-publish arbitrage attack search (default 3).
-	MaxK int
 	// Registry receives the reprice.* metrics (default obs.Default).
 	Registry *obs.Registry
 	// Logger receives publish/reject events (default slog.Default()).
@@ -205,9 +203,6 @@ func New(cfg Config) *Repricer {
 	}
 	if cfg.Explore < 0 {
 		cfg.Explore = DefaultExplore
-	}
-	if cfg.MaxK <= 0 {
-		cfg.MaxK = DefaultMaxK
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default
@@ -432,7 +427,7 @@ func (r *Repricer) Epoch(now time.Time) Record {
 		if target <= 0 {
 			continue
 		}
-		if atk := arbitrage.FindAttack(cand, target, r.cfg.MaxK); atk != nil {
+		if atk := arbitrage.FindAttack(cand, target, maxK); atk != nil {
 			return finish(OutcomeRejected, fmt.Sprintf(
 				"attack at x=%.6g: %d purchases for %.6g vs direct %.6g",
 				atk.TargetX, len(atk.Purchases), atk.Cost, atk.TargetPrice))
