@@ -18,7 +18,6 @@
 //	GET  /debug/pprof/              — profiling endpoints (enable: -pprof)
 //	GET  /replica/status            — replication role, epoch, frame cursor (-role/-replicas)
 //	POST /replica/frames            — WAL frames from the leader (replication wire protocol)
-//	POST /replica/snapshot          — snapshot bootstrap for a lagging follower
 //	POST /admin/promote             — manual failover: promote this node to leader
 //
 // Logs are JSON (log/slog); lines emitted while serving a request carry
@@ -414,7 +413,7 @@ func attachStore(logger *slog.Logger, b *market.Broker, dir, fsync string, chaos
 		"transactions", rs.Transactions, "skips", rs.Skips, "lost", len(rs.Lost),
 		"maxSeq", rs.MaxSeq, "replayKeys", rs.Replays,
 		"walRecords", rs.Stats.Records, "segments", rs.Stats.Segments,
-		"snapshotLoaded", rs.Stats.SnapshotLoaded, "truncatedBytes", rs.Stats.TruncatedBytes,
+		"truncatedBytes", rs.Stats.TruncatedBytes,
 		"recoverySeconds", rs.Duration.Seconds())
 	return d, nil
 }

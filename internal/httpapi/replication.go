@@ -16,7 +16,6 @@ import (
 // WithReplication mounts the replication endpoints for n:
 //
 //	POST /replica/frames    — WAL frames from the leader
-//	POST /replica/snapshot  — snapshot bootstrap for a lagging follower
 //	GET  /replica/status    — role, epoch, frame cursor, stream digest
 //	POST /admin/promote     — manual failover: make this node the leader
 //
@@ -29,7 +28,6 @@ func WithReplication(n *replica.Node) Option {
 // mountReplication attaches the replica wire protocol to the mux.
 func (c *config) mountReplication(mux *http.ServeMux) {
 	mux.HandleFunc("POST /replica/frames", c.replica.HandleFrames)
-	mux.HandleFunc("POST /replica/snapshot", c.replica.HandleSnapshot)
 	mux.HandleFunc("GET /replica/status", c.replica.HandleStatus)
 	mux.HandleFunc("POST /admin/promote", c.replica.HandlePromote)
 }

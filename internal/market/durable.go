@@ -4,9 +4,8 @@ package market
 // every transaction (and every permanently skipped sequence number)
 // through a store.Store WAL before the in-memory sharded ledger — and
 // therefore the buyer — sees it.
-// Recovery replays the newest snapshot plus the WAL tail and rebuilds
-// the exact pre-crash ledger, sequence counter, logical clock and
-// unexpired idempotency entries.
+// Recovery replays the WAL and rebuilds the exact pre-crash ledger,
+// sequence counter, logical clock and unexpired idempotency entries.
 
 import (
 	"context"
@@ -14,11 +13,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -91,36 +87,20 @@ type walReplay struct {
 	At        time.Time `json:"at"`
 }
 
-// ledgerState is the compaction snapshot payload: the full ledger (and
-// the bookkeeping recovery needs) at the snapshot boundary, replacing
-// every WAL record before it.
-type ledgerState struct {
-	MaxSeq  uint64        `json:"max_seq"`
-	Logical uint64        `json:"logical"`
-	Txs     []Transaction `json:"txs"`
-	Skips   []uint64      `json:"skips,omitempty"`
-	Replays []walReplay   `json:"replays,omitempty"`
-	Curves  []walCurve    `json:"curves,omitempty"`
-	// Stakes is the attribution stake table in force at the snapshot
-	// boundary. Snapshot rows carry their attribution tables inline
-	// (Transaction.Shares marshals to JSON), so only the live stakes
-	// need snapshotting separately.
-	Stakes []SellerStake `json:"stakes,omitempty"`
-}
-
 // RecoveredState summarizes what OpenDurableLedger rebuilt into the
 // DurableLedger, from which Broker.AttachDurableLedger resumes serving.
 type RecoveredState struct {
 	// Stats are the raw storage-engine recovery stats.
 	Stats store.RecoveryStats
-	// Transactions and Skips count replayed rows by kind (snapshot
-	// rows included).
+	// Transactions and Skips count replayed rows by kind.
 	Transactions, Skips int
 	// MaxSeq is the highest sequence number seen (sold or skipped);
 	// the sequence counter resumes past it.
 	MaxSeq uint64
-	// Replays is the number of journaled idempotency entries found
-	// (before TTL filtering at seed time).
+	// Replays counts the keyed rows — sales journaled with an
+	// idempotency entry — as the applier files them, before TTL
+	// filtering at seed time: a key journaled twice (a retry sold again
+	// after its entry was evicted) counts twice.
 	Replays int
 	// Lost lists, ascending, the sequence numbers up to MaxSeq with
 	// neither a transaction nor a skip record: sales in flight at the
@@ -147,14 +127,11 @@ type DurableLedger struct {
 	mem shardedLedger
 	st  *store.Store
 
-	// mu guards the journal state kept beside the rows, for compaction
-	// snapshots and for the attached broker.
-	mu      sync.Mutex
-	skips   []uint64
-	replays map[string]walReplay
-	curves  map[ml.Model][]pricing.Point
-	// stakes is the newest journaled attribution stake table.
-	stakes []SellerStake
+	// mu guards the journal state kept beside the rows: the skips the
+	// accounted set needs, the epoch fence, the logical clock, and what
+	// the attached broker has yet to serve.
+	mu    sync.Mutex
+	skips []uint64
 	// sawV2 latches once an attributed transaction has been journaled
 	// or applied: the epoch fence (see decodeAfter).
 	sawV2 bool
@@ -163,8 +140,9 @@ type DurableLedger struct {
 	// unserved is what the appliers filed that the attached broker
 	// does not serve yet; Broker.serveJournal publishes and clears it.
 	unserved struct {
-		sales          []*walTx // keyed sales, in journal order
-		curves, stakes bool     // whether curves or stakes changed
+		sales  []*walTx                     // keyed sales, in journal order
+		curves map[ml.Model][]pricing.Point // newest applied curve per model
+		stakes []SellerStake                // newest applied stake table, nil if none
 	}
 }
 
@@ -204,58 +182,20 @@ func (d *DurableLedger) apply(wr walRecord) {
 		advanceMax(&d.mem.seq, uint64(tx.Seq))
 		d.sawV2 = d.sawV2 || attributed(tx)
 		d.logical = max(d.logical, tx.Stamp.Logical)
-		if rp := wr.Tx.Replay; rp != nil {
-			d.replays[rp.Key] = *rp
+		if wr.Tx.Replay != nil {
 			d.unserved.sales = append(d.unserved.sales, wr.Tx)
 		}
 	case walKindSkip:
 		d.skips = append(d.skips, wr.Seq)
 		advanceMax(&d.mem.seq, wr.Seq)
 	case walKindCurve:
-		d.curves[wr.Curve.Model] = wr.Curve.Points
-		d.unserved.curves = true
+		if d.unserved.curves == nil {
+			d.unserved.curves = make(map[ml.Model][]pricing.Point)
+		}
+		d.unserved.curves[wr.Curve.Model] = wr.Curve.Points
 	case walKindStakes:
-		d.stakes = append([]SellerStake(nil), wr.Stakes...)
-		d.unserved.stakes = true
+		d.unserved.stakes = wr.Stakes
 	}
-}
-
-// applySnapshot files a compaction snapshot into d as the records it
-// replaced: the snapshot applier recovery and FollowerApplier share.
-// Recovery applies it to an empty ledger. A follower bootstrapped past
-// its cursor holds a prefix of the stream the snapshot covers: the rows
-// (with their replay entries) and skips it holds — every number up to
-// its high-water mark that is not lost — are not applied twice.
-func (d *DurableLedger) applySnapshot(snap *ledgerState) {
-	hw, lost := d.mem.seq.Load(), d.lost()
-	isHeld := func(seq uint64) bool {
-		_, isLost := slices.BinarySearch(lost, seq)
-		return seq <= hw && !isLost
-	}
-	replays := make(map[int]*walReplay, len(snap.Replays))
-	for i := range snap.Replays {
-		replays[snap.Replays[i].Seq] = &snap.Replays[i]
-	}
-	for _, tx := range snap.Txs {
-		if !isHeld(uint64(tx.Seq)) {
-			d.apply(walRecord{Kind: walKindTx, Tx: &walTx{Transaction: tx, Replay: replays[tx.Seq]}})
-		}
-	}
-	for _, sk := range snap.Skips {
-		if !isHeld(sk) {
-			d.apply(walRecord{Kind: walKindSkip, Seq: sk})
-		}
-	}
-	for i := range snap.Curves {
-		d.apply(walRecord{Kind: walKindCurve, Curve: &snap.Curves[i]})
-	}
-	if snap.Stakes != nil {
-		d.apply(walRecord{Kind: walKindStakes, Stakes: snap.Stakes})
-	}
-	d.mu.Lock()
-	d.logical = max(d.logical, snap.Logical)
-	d.mu.Unlock()
-	advanceMax(&d.mem.seq, snap.MaxSeq)
 }
 
 // lost lists, ascending, the numbers up to the sequence high-water mark
@@ -301,10 +241,7 @@ func (d *DurableLedger) journalLost() {
 // of any the caller provided.
 func OpenDurableLedger(dir string, o store.Options) (*DurableLedger, *RecoveredState, error) {
 	start := time.Now()
-	d := &DurableLedger{
-		replays: make(map[string]walReplay),
-		curves:  make(map[ml.Model][]pricing.Point),
-	}
+	d := &DurableLedger{}
 
 	userAppend, userFsync := o.Hooks.OnAppend, o.Hooks.OnFsync
 	o.Hooks.OnAppend = func(el time.Duration) {
@@ -321,22 +258,13 @@ func OpenDurableLedger(dir string, o store.Options) (*DurableLedger, *RecoveredS
 		}
 	}
 
-	st, stats, err := store.Open(dir, o,
-		func(r io.Reader) error {
-			var snap ledgerState
-			if err := json.NewDecoder(r).Decode(&snap); err != nil {
-				return fmt.Errorf("market: decoding ledger snapshot: %w", err)
-			}
-			d.applySnapshot(&snap)
-			return nil
-		},
-		func(rec []byte) error {
-			wr, err := decodeAfter(rec, d.sawV2)
-			if err == nil {
-				d.apply(wr)
-			}
-			return err
-		})
+	st, stats, err := store.Open(dir, o, func(rec []byte) error {
+		wr, err := decodeAfter(rec, d.sawV2)
+		if err == nil {
+			d.apply(wr)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -346,7 +274,7 @@ func OpenDurableLedger(dir string, o store.Options) (*DurableLedger, *RecoveredS
 		Transactions: int(d.mem.recorded.Load()),
 		Skips:        len(d.skips),
 		MaxSeq:       d.mem.seq.Load(),
-		Replays:      len(d.replays),
+		Replays:      len(d.unserved.sales),
 		Lost:         d.lost(),
 	}
 	rs.Duration = time.Since(start)
@@ -354,11 +282,6 @@ func OpenDurableLedger(dir string, o store.Options) (*DurableLedger, *RecoveredS
 	metStoreRecoveryRecords.Set(float64(stats.Records))
 	metStoreRecoverySegments.Set(float64(stats.Segments))
 	metStoreRecoveryTruncated.Set(float64(stats.TruncatedBytes))
-	if stats.SnapshotLoaded {
-		metStoreRecoverySnapshot.Set(1)
-	} else {
-		metStoreRecoverySnapshot.Set(0)
-	}
 	return d, rs, nil
 }
 
@@ -465,9 +388,6 @@ func (d *DurableLedger) record(ctx context.Context, tx Transaction, rep *pending
 	d.mu.Lock()
 	d.sawV2 = true
 	d.logical = max(d.logical, tx.Stamp.Logical)
-	if rep != nil {
-		d.replays[rep.key] = *wtx.Replay
-	}
 	d.mu.Unlock()
 	d.mem.file(tx)
 	return nil
@@ -504,8 +424,8 @@ const (
 //
 // A wall time is [8B Unix seconds][4B nanoseconds][4B UTC offset in
 // seconds]. Values JSON cannot carry — non-finite floats, walls outside
-// RFC 3339 — are refused: /ledger and compaction snapshots are JSON,
-// so every journaled row must be one they can render.
+// RFC 3339 — are refused: /ledger is JSON, so every journaled row must
+// be one it can render.
 func encodeWALTx(wtx *walTx) ([]byte, error) {
 	if wtx.Shares == nil {
 		return nil, fmt.Errorf("%w: sale %d has no attribution table", errWALTx, wtx.Seq)
@@ -736,71 +656,23 @@ func finite(fs ...float64) bool {
 }
 
 // journalStakes appends a stakes record so recovery and replicating
-// followers resume splitting revenue over the same sellers. The newest
-// table is also retained for compaction snapshots.
+// followers resume splitting revenue over the same sellers.
 func (d *DurableLedger) journalStakes(stakes []SellerStake) error {
 	rec, err := json.Marshal(walRecord{Kind: walKindStakes, Stakes: stakes})
 	if err != nil {
 		return fmt.Errorf("market: encoding stakes record: %w", err)
 	}
-	if err := d.st.Append(rec); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.stakes = append([]SellerStake(nil), stakes...)
-	d.mu.Unlock()
-	return nil
+	return d.st.Append(rec)
 }
 
 // journalCurve appends a repriced-curve record so recovery and
-// replicating followers republish the same certified menu. The newest
-// points per model are also retained for compaction snapshots.
+// replicating followers republish the same certified menu.
 func (d *DurableLedger) journalCurve(m ml.Model, pts []pricing.Point) error {
 	rec, err := json.Marshal(walRecord{Kind: walKindCurve, Curve: &walCurve{Model: m, Points: pts}})
 	if err != nil {
 		return fmt.Errorf("market: encoding curve record: %w", err)
 	}
-	if err := d.st.Append(rec); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.curves[m] = pts
-	d.mu.Unlock()
-	return nil
-}
-
-// Compact writes a snapshot of the full current ledger state and
-// deletes the WAL segments it covers. Idempotency entries older than
-// ReplayTTL are pruned from the snapshot (they could no longer be
-// replayed anyway).
-func (d *DurableLedger) Compact() error {
-	v := d.mem.view()
-	d.mu.Lock()
-	state := ledgerState{
-		MaxSeq:  d.mem.seq.Load(),
-		Logical: d.logical,
-		Txs:     v.txs,
-		Skips:   append([]uint64(nil), d.skips...),
-		Replays: make([]walReplay, 0, len(d.replays)),
-	}
-	cutoff := time.Now().Add(-ReplayTTL)
-	for key, rp := range d.replays {
-		if rp.At.Before(cutoff) {
-			delete(d.replays, key)
-			continue
-		}
-		state.Replays = append(state.Replays, rp)
-	}
-	for m, pts := range d.curves {
-		state.Curves = append(state.Curves, walCurve{Model: m, Points: pts})
-	}
-	state.Stakes = append([]SellerStake(nil), d.stakes...)
-	d.mu.Unlock()
-	sort.Slice(state.Curves, func(i, j int) bool { return state.Curves[i].Model < state.Curves[j].Model })
-	sort.Slice(state.Replays, func(i, j int) bool { return state.Replays[i].At.Before(state.Replays[j].At) })
-	return d.st.Snapshot(func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(&state)
-	})
+	return d.st.Append(rec)
 }
 
 // Flush forces outstanding journal appends to disk (the drain path).
@@ -822,7 +694,7 @@ func (d *DurableLedger) Close() error { return d.st.Close() }
 func (d *DurableLedger) Dir() string { return d.st.Dir() }
 
 // Store exposes the underlying WAL engine; the replication layer ships
-// and installs frames through it.
+// frames from it.
 func (d *DurableLedger) Store() *store.Store { return d.st }
 
 // AttachDurableLedger swaps the broker's in-memory ledger for d's,
@@ -852,18 +724,13 @@ func (b *Broker) AttachDurableLedger(d *DurableLedger, rs *RecoveredState) {
 // serveJournal publishes what d's appliers filed since the last call,
 // without journaling it again: the logical clock resumes past the
 // newest applied stamp, keyed sales are seeded into the replay cache,
-// and changed curves and stake tables are republished. Attach calls it
-// once for everything recovery filed, and a follower after each
-// shipment or snapshot it applies.
+// and the newest applied curve per model and stake table are
+// republished. Attach calls it once for everything recovery filed, and
+// a follower after each shipment it applies.
 func (b *Broker) serveJournal(d *DurableLedger) {
 	d.mu.Lock()
-	u := d.unserved
-	d.unserved.sales, d.unserved.curves, d.unserved.stakes = nil, false, false
-	logical, stakes := d.logical, d.stakes
-	var curves map[ml.Model][]pricing.Point
-	if u.curves {
-		curves = maps.Clone(d.curves)
-	}
+	u, logical := d.unserved, d.logical
+	d.unserved.sales, d.unserved.curves, d.unserved.stakes = nil, nil, nil
 	d.mu.Unlock()
 	advanceMax(&b.logical, logical)
 	// Newest first: a key the journal holds twice (a retry sold again
@@ -876,15 +743,15 @@ func (b *Broker) serveJournal(d *DurableLedger) {
 	// Best effort: a curve for a model not on this broker's menu (or
 	// whose grid no longer matches) is skipped — the certified menu
 	// keeps serving.
-	for m, pts := range curves {
+	for m, pts := range u.curves {
 		if c, err := pricing.NewCurve(pts); err == nil {
 			b.republishCurve(m, c, false)
 		}
 	}
 	// A journal that predates multi-seller attribution has no stakes
 	// record; the founder-only table NewBroker seeded keeps serving.
-	if u.stakes && len(stakes) > 0 {
-		_ = b.applyStakes(stakes, false)
+	if len(u.stakes) > 0 {
+		_ = b.applyStakes(u.stakes, false)
 	}
 }
 

@@ -593,59 +593,6 @@ func TestDurableMidLogCorruptionRefusesToOpen(t *testing.T) {
 	}
 }
 
-func TestDurableCompactionPreservesState(t *testing.T) {
-	dir := t.TempDir()
-	b, d, _ := durableBroker(t, dir, store.Options{})
-	menu := markettest.Menu(t, b)
-	for i := 0; i < 4; i++ {
-		if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[0].Delta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One idempotent sale whose entry must survive compaction.
-	pk, _, err := b.BuyIdempotent(context.Background(), "compacted-key", func(ctx context.Context) (*market.Purchase, error) {
-		return b.BuyAtPointContext(ctx, markettest.Model, menu[1].Delta)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := b.BuyAtPointContext(context.Background(), markettest.Model, menu[2].Delta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := b.Ledger()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	b2, _, rs := durableBroker(t, dir, store.Options{})
-	if !rs.Stats.SnapshotLoaded {
-		t.Fatalf("compaction snapshot not used: %+v", rs.Stats)
-	}
-	got := b2.Ledger()
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d rows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !sameTx(got[i], want[i]) {
-			t.Fatalf("row %d diverged after compaction: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-	p, replayed, err := b2.BuyIdempotent(context.Background(), "compacted-key", func(ctx context.Context) (*market.Purchase, error) {
-		return b2.BuyAtPointContext(ctx, markettest.Model, menu[1].Delta)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !replayed || p.Seq != pk.Seq {
-		t.Fatalf("idempotency entry lost in compaction: replayed=%v seq=%d want %d", replayed, p.Seq, pk.Seq)
-	}
-}
-
 // TestDurableChaosTornWriteRecovery drives the durable broker through
 // the chaos harness's torn-write injection: the torn sale is refused
 // (buyer not charged), the store latches failed like a crash, and

@@ -3,7 +3,7 @@ package market
 // Replication stances for the Broker, plus the follower-side frame
 // applier. A broker is either the leader (sells, journals, ships
 // frames) or a follower (read-only warm standby applying the leader's
-// frames through the same record and snapshot appliers recovery uses).
+// frames through the same record applier recovery uses).
 // Promotion flips a follower to leader in place — the applied state is
 // already the ledger, so there is nothing to rebuild; the new leader
 // only journals the numbers the old one allocated but never shipped.
@@ -16,9 +16,7 @@ package market
 // gets a retryable error whose retry replays the original Seq.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -102,9 +100,9 @@ func (b *Broker) waitAck(ctx context.Context) error {
 // FollowerApplier applies replicated WAL frames to a follower broker:
 // each record is journaled to the follower's own store first (so its
 // logical frame cursor and stream digest advance in lockstep with the
-// leader's) and then applied through the record and snapshot appliers
-// recovery uses — ledger rows, skip gaps, replay-cache entries, and
-// repriced curves all land warm.
+// leader's) and then applied through the record applier recovery uses
+// — ledger rows, skip gaps, replay-cache entries, and repriced curves
+// all land warm.
 type FollowerApplier struct {
 	b *Broker
 	d *DurableLedger
@@ -156,23 +154,6 @@ func (fa *FollowerApplier) ApplyRecords(recs [][]byte) error {
 	}
 	fa.b.serveJournal(fa.d)
 	return bad
-}
-
-// ApplySnapshot installs a leader snapshot a lagging follower was
-// bootstrapped with: the raw payload becomes the follower's own newest
-// snapshot (cursor jumps to framesBefore) and the snapshot applier
-// files what the follower did not hold yet.
-func (fa *FollowerApplier) ApplySnapshot(framesBefore uint64, digest uint32, payload []byte) error {
-	var snap ledgerState
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return fmt.Errorf("market: decoding replicated snapshot: %w", err)
-	}
-	if err := fa.d.st.InstallSnapshot(framesBefore, digest, bytes.NewReader(payload)); err != nil {
-		return err
-	}
-	fa.d.applySnapshot(&snap)
-	fa.b.serveJournal(fa.d)
-	return nil
 }
 
 // advanceMax CAS-advances a to at least v.

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -16,9 +15,13 @@ import (
 	"testing"
 	"time"
 
+	"github.com/datamarket/mbp/internal/curves"
 	"github.com/datamarket/mbp/internal/ml"
+	"github.com/datamarket/mbp/internal/noise"
+	"github.com/datamarket/mbp/internal/pricing"
 	"github.com/datamarket/mbp/internal/replica"
 	"github.com/datamarket/mbp/internal/store"
+	"github.com/datamarket/mbp/internal/synth"
 )
 
 // shippedFollower is a follower broker behind its replica endpoint, fed
@@ -83,7 +86,7 @@ func (f *shippedFollower) expect(t *testing.T, what string, recs [][]byte, rows 
 	if got, _, _ := f.d.mem.totals(); got != rows {
 		t.Fatalf("%s: %d ledger rows, want %d", what, got, rows)
 	}
-	if got := len(f.d.replayRows()); got != rows {
+	if got := len(f.d.replayRows(t)); got != rows {
 		t.Fatalf("%s: %d replay entries, want %d", what, got, rows)
 	}
 	if err := f.d.Healthy(); err != nil {
@@ -305,11 +308,28 @@ func TestFollowerBatchDedupsOverlappingChunk(t *testing.T) {
 	}
 }
 
-// replayRows returns the journaled idempotency entries (a copy).
-func (d *DurableLedger) replayRows() map[string]walReplay {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return maps.Clone(d.replays)
+// replayRows decodes the idempotency entries d's journal holds from its
+// own frames, the newest per key.
+func (d *DurableLedger) replayRows(tb testing.TB) map[string]walReplay {
+	tb.Helper()
+	rows := make(map[string]walReplay)
+	for cursor := uint64(0); cursor < d.st.Frames(); {
+		recs, next, err := d.st.ReadFrom(cursor, 1<<20)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, rec := range recs {
+			wr, err := decodeWALRecord(rec)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if wr.Kind == walKindTx && wr.Tx.Replay != nil {
+				rows[wr.Tx.Replay.Key] = *wr.Tx.Replay
+			}
+		}
+		cursor = next
+	}
+	return rows
 }
 
 // outOfOrder is a leader stream that journaled sale 3 before sale 2:
@@ -323,8 +343,7 @@ func outOfOrder(t *testing.T) [][]byte {
 // TestFollowerRestartMidGapFilesLateSaleOnce: the follower restarts
 // between the shipments of sale 3 and sale 2. Its open must not derive 2
 // as lost — only the node that owns the numbering may — so when sale 2
-// arrives it is filed once, and a compaction and a reopen keep three
-// rows and no skip.
+// arrives it is filed once, and a reopen keeps three rows and no skip.
 func TestFollowerRestartMidGapFilesLateSaleOnce(t *testing.T) {
 	dir := t.TempDir()
 	recs := outOfOrder(t)
@@ -342,10 +361,6 @@ func TestFollowerRestartMidGapFilesLateSaleOnce(t *testing.T) {
 		t.Fatalf("POST of sale 2: HTTP %d", code)
 	}
 	f.expect(t, "after the late sale", recs, 3)
-	if err := f.d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	requireAccounted(t, "after compaction", f.d)
 	d := reopen(t, f.d)
 	requireAccounted(t, "reopened", d)
 	if len(d.skips) != 0 || d.mem.seq.Load() != 3 {
@@ -374,7 +389,7 @@ func TestFollowerPromotedWithGapJournalsLost(t *testing.T) {
 	}
 
 	staleDir := t.TempDir()
-	st, _, err := store.Open(staleDir, store.Options{}, nil, nil)
+	st, _, err := store.Open(staleDir, store.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,4 +450,94 @@ func TestFollowerFailedAppendLeavesEpochFenceOpen(t *testing.T) {
 		t.Fatalf("re-shipped POST: HTTP %d, want 200", code)
 	}
 	f.expect(t, "after the re-ship", recs, 3)
+}
+
+// classifierBroker is a broker selling two classifiers over one
+// dataset, so a test can reprice one model and ship the other.
+func classifierBroker(t *testing.T) *Broker {
+	t.Helper()
+	sp, err := synth.Generate("SUSY", 0.0005, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	research, err := curves.Build(curves.Concave, curves.Uniform, 10, 20, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBroker(&Seller{Name: "susy", Data: sp, Research: research}, noise.Gaussian{}, 3, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []ml.Model{ml.LogisticRegression, ml.LinearSVM} {
+		if err := b.AddModel(m, AddModelOptions{Train: ml.Options{Mu: 1e-3}, MCSamples: 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// TestFollowerKeepsItsOwnRepricingWhenDeposed: a leader restarted on a
+// journal that holds a repricing of one model reprices it again, is
+// deposed, and then applies a shipment that reprices the other model.
+// Only the shipped curve is republished: the model the node repriced
+// itself keeps its newest curve, not the older one recovery applied.
+func TestFollowerKeepsItsOwnRepricingWhenDeposed(t *testing.T) {
+	scaled := func(b *Broker, m ml.Model, f float64) *pricing.Curve {
+		t.Helper()
+		c, err := b.Curve(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := make([]pricing.Point, len(c.Points()))
+		for i, pt := range c.Points() {
+			pts[i] = pricing.Point{X: pt.X, Price: pt.Price * f}
+		}
+		if c, err = pricing.NewCurve(pts); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	dir := t.TempDir()
+	b := classifierBroker(t)
+	d, rs, err := OpenDurableLedger(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AttachDurableLedger(d, rs)
+	if err := b.RepublishCurve(ml.LinearSVM, scaled(b, ml.LinearSVM, 1.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b = classifierBroker(t)
+	d, rs, err = OpenDurableLedger(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	b.AttachDurableLedger(d, rs)
+	own := scaled(b, ml.LinearSVM, 1.2)
+	if err := b.RepublishCurve(ml.LinearSVM, own); err != nil {
+		t.Fatal(err)
+	}
+	shipped := scaled(b, ml.LogisticRegression, 1.3)
+	rec, err := json.Marshal(walRecord{Kind: walKindCurve, Curve: &walCurve{Model: ml.LogisticRegression, Points: shipped.Points()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetFollower("leader:1")
+	if err := NewFollowerApplier(b, d).ApplyRecords([][]byte{rec}); err != nil {
+		t.Fatal(err)
+	}
+	for m, want := range map[ml.Model]*pricing.Curve{ml.LinearSVM: own, ml.LogisticRegression: shipped} {
+		got, err := b.Curve(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Points(), want.Points()) {
+			t.Fatalf("%v serves %v, want %v", m, got.Points(), want.Points())
+		}
+	}
 }

@@ -386,7 +386,7 @@ func TestDurableRecoversPreBinaryJournal(t *testing.T) {
 	// compatibility helper the other tests build records with is
 	// faithful to it.
 	var onDisk [][]byte
-	st, _, err := store.Open(copyJournal(t, dir), store.Options{}, nil, func(rec []byte) error {
+	st, _, err := store.Open(copyJournal(t, dir), store.Options{}, func(rec []byte) error {
 		onDisk = append(onDisk, append([]byte(nil), rec...))
 		return nil
 	})
@@ -424,18 +424,19 @@ func TestDurableRecoversPreBinaryJournal(t *testing.T) {
 				replays[rp.Key] = *rp
 			}
 		case walKindStakes:
-			if len(d.stakes) != len(wr.Stakes) {
-				t.Fatalf("recovered stakes %v, want %v", d.stakes, wr.Stakes)
+			got := d.unserved.stakes
+			if len(got) != len(wr.Stakes) {
+				t.Fatalf("recovered stakes %v, want %v", got, wr.Stakes)
 			}
 			for i := range wr.Stakes {
-				if d.stakes[i].ID != wr.Stakes[i].ID || !sameBits(d.stakes[i].Weight, wr.Stakes[i].Weight) {
-					t.Fatalf("recovered stakes %v, want %v", d.stakes, wr.Stakes)
+				if got[i].ID != wr.Stakes[i].ID || !sameBits(got[i].Weight, wr.Stakes[i].Weight) {
+					t.Fatalf("recovered stakes %v, want %v", got, wr.Stakes)
 				}
 			}
 		case walKindCurve:
-			got := d.curves[wr.Curve.Model]
-			if len(d.curves) != 1 || fmt.Sprint(got) != fmt.Sprint(wr.Curve.Points) {
-				t.Fatalf("recovered curves %v, want %v", d.curves, wr.Curve.Points)
+			curves := d.unserved.curves
+			if len(curves) != 1 || fmt.Sprint(curves[wr.Curve.Model]) != fmt.Sprint(wr.Curve.Points) {
+				t.Fatalf("recovered curves %v, want %v", curves, wr.Curve.Points)
 			}
 		}
 	}
@@ -462,12 +463,46 @@ func TestDurableRecoversPreBinaryJournal(t *testing.T) {
 		}
 	}
 	checkRows("recovered", d.mem.view().txs, rows)
-	checkReplays("recovered", d.replayRows(), replays)
+	checkReplays("recovered", d.replayRows(t), replays)
+
+	// Each recovered key replays its original purchase, bit for bit, from
+	// a broker the journal is attached to. The keys were sold years
+	// apart, so each is retried on its own broker, whose replay clock
+	// stands a minute after the key's sale.
+	ctx := context.Background()
+	errFresh := errors.New("executed fresh")
+	for _, wr := range want {
+		if wr.Kind != walKindTx || wr.Tx.Replay == nil {
+			continue
+		}
+		row, rp := wr.Tx.Transaction, *wr.Tx.Replay
+		rb := testBroker(t)
+		rb.replay.SetClock(func() time.Time { return rp.At.Add(time.Minute) })
+		rd, rrs, err := OpenDurableLedger(copyJournal(t, dir), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb.AttachDurableLedger(rd, rrs)
+		p, replayed, err := rb.BuyIdempotent(ctx, rp.Key, func(context.Context) (*Purchase, error) {
+			return nil, errFresh
+		})
+		if err := rd.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err != nil || !replayed {
+			t.Fatalf("retry of %q: replayed=%v err=%v, want a replay", rp.Key, replayed, err)
+		}
+		gotRow := Transaction{Seq: p.Seq, Model: p.Instance.Model, Delta: p.Delta, Price: p.Price,
+			ExpectedError: p.ExpectedError, Shares: p.Shares, BrokerShare: p.BrokerShare, Stamp: row.Stamp}
+		gotEntry := walReplay{Key: rp.Key, Seq: p.Seq, W: p.Instance.W, Mu: p.Instance.Mu, TrainLoss: p.Instance.TrainLoss, At: rp.At}
+		if p.Model != row.Model || !sameTxBits(gotRow, row) || !sameReplayBits(gotEntry, rp) {
+			t.Fatalf("retry of %q replayed %+v (instance %+v), want row %+v and entry %+v", rp.Key, p, *p.Instance, row, rp)
+		}
+	}
 
 	// Binary sales append to the old journal through the live broker.
 	b := testBroker(t)
 	b.AttachDurableLedger(d, rs)
-	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("binary-%d", i)
 		p, _, err := b.BuyIdempotent(ctx, key, func(ctx context.Context) (*Purchase, error) {
@@ -480,7 +515,7 @@ func TestDurableRecoversPreBinaryJournal(t *testing.T) {
 			t.Fatalf("sale %d: seq %d with %d shares, want seq %d over 3 sellers", i, p.Seq, len(p.Shares), 7+i)
 		}
 	}
-	live, liveReplays := b.Ledger(), d.replayRows()
+	live, liveReplays := b.Ledger(), d.replayRows(t)
 	frames, digest := d.st.Frames(), d.st.StreamDigest()
 	recs, _, err := d.st.ReadFrom(0, 1<<20)
 	if err != nil {
@@ -505,7 +540,7 @@ func TestDurableRecoversPreBinaryJournal(t *testing.T) {
 			rs2, d2.st.Frames(), d2.st.StreamDigest(), frames, digest)
 	}
 	checkRows("reopened", d2.mem.view().txs, live)
-	checkReplays("reopened", d2.replayRows(), liveReplays)
+	checkReplays("reopened", d2.replayRows(t), liveReplays)
 
 	// A follower applying the whole stream holds the same ledger, and
 	// its chained digest matches the leader's byte for byte.
@@ -524,7 +559,7 @@ func TestDurableRecoversPreBinaryJournal(t *testing.T) {
 		t.Fatalf("follower frames %d digest %08x, want %d/%08x", fd.st.Frames(), fd.st.StreamDigest(), frames, digest)
 	}
 	checkRows("replicated", fb.Ledger(), live)
-	checkReplays("replicated", fd.replayRows(), liveReplays)
+	checkReplays("replicated", fd.replayRows(t), liveReplays)
 }
 
 // BenchmarkDurableRecovery times what a restart spends on a journal of
@@ -534,7 +569,9 @@ func TestDurableRecoversPreBinaryJournal(t *testing.T) {
 // that preceded it, and, as "follower", a fresh follower applying the
 // binary journal's records through ApplyRecords in shipment-sized
 // chunks. Each iteration checks it recovered or applied every row and
-// every replay entry.
+// filled the replay cache, and the recovery runs also check
+// RecoveredState.Replays and report the heap the ledger and broker
+// retain after Open plus Attach, per record (heap-B/record).
 func BenchmarkDurableRecovery(b *testing.B) {
 	const sales = 8000
 	stakes, err := validStakes([]SellerStake{{ID: "seller-0", Weight: 3}, {ID: "seller-1", Weight: 2}, {ID: "seller-2", Weight: 1}})
@@ -562,10 +599,19 @@ func BenchmarkDurableRecovery(b *testing.B) {
 		}
 		return nb
 	}
-	check := func(d *DurableLedger) {
-		if rows, _, _ := d.mem.totals(); rows != sales || len(d.replays) != sales {
-			b.Fatalf("%d rows and %d replay entries, want %d of each", rows, len(d.replays), sales)
+	check := func(br *Broker, d *DurableLedger) {
+		rows, _, _ := d.mem.totals()
+		if cached, want := br.replay.Len(), min(sales, ReplayCapacity); rows != sales || cached != want {
+			b.Fatalf("%d rows and %d cached replays, want %d and %d", rows, cached, sales, want)
 		}
+	}
+	// heapAlloc is the live heap after two collections.
+	heapAlloc := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
 	}
 	wall := time.Now()
 	var shipped [][]byte // the binary journal's records
@@ -577,7 +623,7 @@ func BenchmarkDurableRecovery(b *testing.B) {
 		{"json-v2", legacyTxRecord},
 	} {
 		dir := b.TempDir()
-		st, _, err := store.Open(dir, store.Options{Policy: store.FsyncNever}, nil, nil)
+		st, _, err := store.Open(dir, store.Options{Policy: store.FsyncNever}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -603,10 +649,12 @@ func BenchmarkDurableRecovery(b *testing.B) {
 			shipped = recs
 		}
 		b.Run(layout.name, func(b *testing.B) {
+			var retained int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				br := fresh()
+				before := heapAlloc()
 				b.StartTimer()
 				d, rs, err := OpenDurableLedger(dir, store.Options{Policy: store.FsyncNever})
 				if err != nil {
@@ -614,13 +662,18 @@ func BenchmarkDurableRecovery(b *testing.B) {
 				}
 				br.AttachDurableLedger(d, rs)
 				b.StopTimer()
-				check(d)
+				retained += heapAlloc() - before
+				check(br, d)
+				if rs.Replays != sales {
+					b.Fatalf("recovered %d keyed rows, want %d", rs.Replays, sales)
+				}
 				if err := d.Close(); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sales), "ns/record")
+			b.ReportMetric(float64(retained)/float64(b.N*sales), "heap-B/record")
 		})
 	}
 
@@ -654,7 +707,7 @@ func BenchmarkDurableRecovery(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			check(d)
+			check(br, d)
 			if err := d.Close(); err != nil {
 				b.Fatal(err)
 			}

@@ -5,22 +5,23 @@
 // replay-cache entries, and repriced menus all live — that a manual
 // promote turns into the leader with zero acknowledged sales lost.
 //
-// The wire protocol is three endpoints on every node:
+// The wire protocol is two endpoints on every node:
 //
 //	GET  /replica/status    → {role, epoch, frames, digest}
 //	POST /replica/frames    ← CRC32C-framed records from a frame cursor
-//	POST /replica/snapshot  ← snapshot bootstrap for a compacted cursor
 //
 // plus POST /admin/promote for failover. Replication is positional:
 // the cursor is the logical frame index (identical across replicas,
 // because every replica appends the identical record sequence), so a
 // re-shipped chunk deduplicates by position — the follower skips the
 // prefix it already holds and 412s a cursor ahead of it so the
-// shipper rewinds. Leader fencing is by epoch: every shipment carries
-// the sender's durably persisted epoch, a receiver rejects anything
-// below its own with 409, and a deposed leader that sees the 409
-// steps down to a read-only follower instead of accepting writes its
-// cluster will never hear about.
+// shipper rewinds. The leader's journal keeps every frame, so a
+// follower of any age, an empty one included, is caught up by shipping
+// frames from its own cursor. Leader fencing is by epoch: every
+// shipment carries the sender's durably persisted epoch, a receiver
+// rejects anything below its own with 409, and a deposed leader that
+// sees the 409 steps down to a read-only follower instead of accepting
+// writes its cluster will never hear about.
 package replica
 
 import (
@@ -29,7 +30,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"net/http"
@@ -56,15 +56,10 @@ const (
 
 // Wire headers.
 const (
-	headerEpoch        = "X-Replica-Epoch"
-	headerLeader       = "X-Replica-Leader"
-	headerCursor       = "X-Replica-Cursor"
-	headerFramesBefore = "X-Replica-Frames-Before"
-	headerDigest       = "X-Replica-Digest"
-	headerPayloadCRC   = "X-Replica-Payload-Crc32c"
+	headerEpoch  = "X-Replica-Epoch"
+	headerLeader = "X-Replica-Leader"
+	headerCursor = "X-Replica-Cursor"
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Applier is the follower-side apply path; market.NewFollowerApplier
 // provides the production implementation.
@@ -75,8 +70,6 @@ type Applier interface {
 	// order, with one durable append. On a bad record it keeps the
 	// valid prefix before it and returns the record's error.
 	ApplyRecords(recs [][]byte) error
-	// ApplySnapshot installs a leader snapshot at the given boundary.
-	ApplySnapshot(framesBefore uint64, digest uint32, payload []byte) error
 }
 
 // BrokerControl is the slice of the broker the replication layer
@@ -136,7 +129,7 @@ type Node struct {
 	client *http.Client
 	log    *slog.Logger
 
-	// applyMu serializes follower applies (frames, snapshot, promote):
+	// applyMu serializes follower applies (frames, promote):
 	// the cursor check and the apply must be one atomic step.
 	applyMu sync.Mutex
 
@@ -481,8 +474,9 @@ func (n *Node) HandleFrames(w http.ResponseWriter, r *http.Request) {
 	defer n.applyMu.Unlock()
 	local := n.cfg.Applier.Frames()
 	if cursor > local {
-		// The sender skipped ahead (e.g. it compacted our segment away
-		// and guessed); make it rewind to our cursor.
+		// The sender skipped ahead (e.g. this node restarted without a
+		// tail it had acked under a lax fsync policy); make it rewind to
+		// our cursor.
 		writeJSON(w, http.StatusPreconditionFailed, framesResponse{Frames: local})
 		return
 	}
@@ -497,55 +491,12 @@ func (n *Node) HandleFrames(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, framesResponse{Frames: n.cfg.Applier.Frames()})
 }
 
-// HandleSnapshot is POST /replica/snapshot: the bootstrap for a
-// follower whose cursor was compacted off the leader's log.
+// HandleSnapshot answers every request with 410 Gone: no node serves a
+// snapshot bootstrap, and a follower of any age is caught up through
+// HandleFrames. It remains only because the perfbench stack still
+// mounts it at /replica/snapshot.
 func (n *Node) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if n.cfg.Applier == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "node has no applier"})
-		return
-	}
-	if !n.checkEpoch(w, r) {
-		return
-	}
-	framesBefore, err := strconv.ParseUint(r.Header.Get(headerFramesBefore), 10, 64)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad " + headerFramesBefore})
-		return
-	}
-	digest64, err := strconv.ParseUint(r.Header.Get(headerDigest), 10, 32)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad " + headerDigest})
-		return
-	}
-	wantCRC, err := strconv.ParseUint(r.Header.Get(headerPayloadCRC), 10, 32)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad " + headerPayloadCRC})
-		return
-	}
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<30))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != uint32(wantCRC) {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "snapshot payload checksum mismatch"})
-		return
-	}
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	local := n.cfg.Applier.Frames()
-	if framesBefore <= local {
-		// Nothing new in the snapshot; the sender can tail from our
-		// cursor directly.
-		writeJSON(w, http.StatusOK, framesResponse{Frames: local})
-		return
-	}
-	if err := n.cfg.Applier.ApplySnapshot(framesBefore, uint32(digest64), payload); err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	n.log.Info("replica: installed leader snapshot", "frames_before", framesBefore)
-	writeJSON(w, http.StatusOK, framesResponse{Frames: n.cfg.Applier.Frames()})
+	writeJSON(w, http.StatusGone, map[string]string{"error": "snapshot bootstrap removed: followers catch up through /replica/frames"})
 }
 
 // HandleStatus is GET /replica/status.

@@ -62,7 +62,6 @@ func newFollower(t testing.TB, o store.Options) *clusterNode {
 	}
 	t.Cleanup(n.Stop)
 	mux.HandleFunc("/replica/frames", n.HandleFrames)
-	mux.HandleFunc("/replica/snapshot", n.HandleSnapshot)
 	mux.HandleFunc("/replica/status", n.HandleStatus)
 	mux.HandleFunc("/admin/promote", n.HandlePromote)
 	return &clusterNode{b: b, d: d, node: n, url: srv.URL, srv: srv}
@@ -369,56 +368,50 @@ func BenchmarkQuorumAck(b *testing.B) {
 	}
 }
 
-// TestCompactionMidTailFallsBackToSnapshot covers satellite 3: the
-// follower's cursor lands in a segment the leader compacted away, so
-// the shipper bootstraps it from the newest snapshot and resumes the
-// tail — no gap, no duplicate. Tiny segments force WAL rotation along
-// the way, and a promoted follower replays a pre-compaction
-// idempotency key to prove the replay cache crossed the snapshot.
-func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
+// TestLateFollowerTailsFromFrameZero: a follower that joins after the
+// leader's journal rotated through many segments is caught up by
+// shipping frames from frame 0 — no gap, no duplicate — and then keeps
+// tailing. Keyed and plain sales precede the join, and a promoted
+// follower replays the first pre-join key with the original sale.
+func TestLateFollowerTailsFromFrameZero(t *testing.T) {
 	// Tiny segments: every few appends rotate the leader's WAL.
 	o := store.Options{SegmentBytes: 512}
 	f := newFollower(t, store.Options{})
 	ld := newLeader(t, []string{f.url}, o, replica.Config{})
 	delta := markettest.Menu(t, ld.b)[0].Delta
 
-	// Traffic before the follower hears anything, including a keyed buy
-	// whose replay entry must survive the snapshot hop.
-	if _, _, err := buyKeyed(t, ld, "pre-compact-key", delta); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := ld.b.BuyAtPointContext(context.Background(), markettest.Model, delta); err != nil {
+	// Traffic before the follower hears anything: keyed sales, whose
+	// replay entries must reach the follower, among plain ones.
+	for i := 0; i < 40; i++ {
+		var err error
+		if i%3 == 0 {
+			_, _, err = buyKeyed(t, ld, fmt.Sprintf("pre-join-%d", i), delta)
+		} else {
+			_, err = ld.b.BuyAtPointContext(context.Background(), markettest.Model, delta)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ld.d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Precondition: frame 0 is gone from the leader's log.
-	if _, _, err := ld.d.Store().ReadFrom(0, 1<<20); !errors.Is(err, store.ErrCompacted) {
-		t.Fatalf("ReadFrom(0) after compaction: %v, want ErrCompacted", err)
-	}
-	// More traffic after the boundary: the tail the bootstrap resumes.
-	for i := 0; i < 3; i++ {
-		if _, err := ld.b.BuyAtPointContext(context.Background(), markettest.Model, delta); err != nil {
-			t.Fatal(err)
-		}
+	// Precondition: the journal the follower must be shipped spans many
+	// segments.
+	if segs, err := filepath.Glob(filepath.Join(ld.d.Dir(), "wal-*.log")); err != nil || len(segs) < 8 {
+		t.Fatalf("leader journal spans %d segments (err %v), want at least 8", len(segs), err)
 	}
 
 	ld.node.StartLeading()
-	waitFor(t, 15*time.Second, "snapshot bootstrap + tail", func() bool { return converged(ld, f) })
-	sameLedgers(t, "post-bootstrap", ld.b.Ledger(), f.b.Ledger())
-	requireJournalAccounted(t, "leader post-bootstrap", ld)
-	requireJournalAccounted(t, "follower post-bootstrap", f)
+	waitFor(t, 15*time.Second, "late follower to catch up from frame 0", func() bool { return converged(ld, f) })
+	sameLedgers(t, "post-join", ld.b.Ledger(), f.b.Ledger())
+	requireJournalAccounted(t, "leader post-join", ld)
+	requireJournalAccounted(t, "follower post-join", f)
 
-	// The live tail keeps flowing after the bootstrap.
+	// The live tail keeps flowing after the catch-up.
 	for i := 0; i < 2; i++ {
 		if _, err := ld.b.BuyAtPointContext(context.Background(), markettest.Model, delta); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 15*time.Second, "live tail after bootstrap", func() bool { return converged(ld, f) })
+	waitFor(t, 15*time.Second, "live tail after the catch-up", func() bool { return converged(ld, f) })
 	sameLedgers(t, "post-tail", ld.b.Ledger(), f.b.Ledger())
 	requireJournalAccounted(t, "follower post-tail", f)
 	rows := f.b.Ledger()
@@ -429,13 +422,13 @@ func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
 	}
 
 	// Promote the follower: the replicated replay cache answers the
-	// pre-compaction key with the original sale, not a second charge.
+	// pre-join key with the original sale, not a second charge.
 	ld.node.Stop()
 	if _, err := f.node.Promote(); err != nil {
 		t.Fatal(err)
 	}
 	orig := ld.b.Ledger()[0]
-	p, replayed, err := buyKeyed(t, f, "pre-compact-key", delta)
+	p, replayed, err := buyKeyed(t, f, "pre-join-0", delta)
 	if err != nil || !replayed || p.Seq != orig.Seq {
 		t.Fatalf("replay after promote: p=%+v replayed=%v err=%v, want seq %d", p, replayed, err, orig.Seq)
 	}
@@ -443,6 +436,17 @@ func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
 		t.Fatalf("promote replay grew the ledger to %d rows, want %d", rows, want)
 	}
 	requireJournalAccounted(t, "promoted follower", f)
+}
+
+// TestHandleSnapshotIsGone: the snapshot bootstrap endpoint older
+// leaders posted to answers 410 Gone.
+func TestHandleSnapshotIsGone(t *testing.T) {
+	f := newFollower(t, store.Options{})
+	w := httptest.NewRecorder()
+	f.node.HandleSnapshot(w, httptest.NewRequest(http.MethodPost, "/replica/snapshot", nil))
+	if w.Code != http.StatusGone {
+		t.Fatalf("POST /replica/snapshot: HTTP %d, want 410", w.Code)
+	}
 }
 
 // TestFencingDeposesStaleLeader: promoting a follower bumps its

@@ -1,13 +1,13 @@
 package replica
 
 // The shipper: one tail-follow loop per target. It learns the
-// follower's cursor from /replica/status, streams chunks of framed
-// records from the local store's ReadFrom, and re-bootstraps the
-// follower from the newest snapshot when its cursor was compacted
-// away. The hop is guarded by the shared resilience kit — retry with
-// jittered backoff per shipment, a per-target circuit breaker so a
-// dead follower costs one probe per cooldown instead of a hot loop,
-// and optional chaos (latency, partition) injected before every POST.
+// follower's cursor from /replica/status and streams chunks of framed
+// records from the local store's ReadFrom, from frame 0 for a follower
+// that holds nothing. The hop is guarded by the shared resilience kit
+// — retry with jittered backoff per shipment, a per-target circuit
+// breaker so a dead follower costs one probe per cooldown instead of a
+// hot loop, and optional chaos (latency, partition) injected before
+// every POST.
 
 import (
 	"bytes"
@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"strconv"
@@ -59,7 +58,6 @@ type shipper struct {
 
 	metShipped *obs.Counter
 	metErrs    *obs.Counter
-	metSnaps   *obs.Counter
 	metLagF    *obs.Gauge
 	metLagS    *obs.Gauge
 
@@ -81,7 +79,6 @@ func newShipper(n *Node, target string, idx uint64) *shipper {
 		wake:       make(chan struct{}, 1),
 		metShipped: obs.Default.Counter(obs.Name("replica.frames_shipped_total", "target", target)),
 		metErrs:    obs.Default.Counter(obs.Name("replica.ship_errors_total", "target", target)),
-		metSnaps:   obs.Default.Counter(obs.Name("replica.snapshots_shipped_total", "target", target)),
 		metLagF:    obs.Default.Gauge(obs.Name("replica.lag_frames", "target", target)),
 		metLagS:    obs.Default.Gauge(obs.Name("replica.lag_seconds", "target", target)),
 		lastCaught: time.Now(),
@@ -113,9 +110,9 @@ func (s *shipper) run(ctx context.Context) {
 	}
 }
 
-// step advances the target by one unit of work: learning the cursor,
-// shipping one chunk, or shipping a snapshot bootstrap. It reports
-// whether it moved data (false = caught up, poll before retrying).
+// step advances the target by one unit of work: learning the cursor or
+// shipping one chunk. It reports whether it moved data (false = caught
+// up, poll before retrying).
 func (s *shipper) step(ctx context.Context) (bool, error) {
 	if !s.haveCursor {
 		st, err := s.probe(ctx)
@@ -130,9 +127,6 @@ func (s *shipper) step(ctx context.Context) (bool, error) {
 		s.n.noteAck(s.target, st.Frames)
 	}
 	batch, next, err := s.n.cfg.Store.ReadFrom(s.cursor, s.n.cfg.ChunkBytes)
-	if errors.Is(err, store.ErrCompacted) {
-		return true, s.shipSnapshot(ctx)
-	}
 	if err != nil {
 		return false, err
 	}
@@ -227,66 +221,6 @@ func (s *shipper) decodeShipResponse(resp *http.Response) (uint64, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return 0, fmt.Errorf("replica: %s: HTTP %d: %s", s.target, resp.StatusCode, msg)
 	}
-}
-
-// shipSnapshot bootstraps the target from the newest local snapshot;
-// afterwards the tail resumes at the snapshot boundary.
-func (s *shipper) shipSnapshot(ctx context.Context) error {
-	framesBefore, digest, payload, err := s.n.cfg.Store.LatestSnapshot()
-	if err != nil {
-		return err
-	}
-	err = s.n.cfg.Retry.Do(ctx, s.r, func(int) error {
-		if err := s.breaker.Allow(); err != nil {
-			return err
-		}
-		perr := s.postSnapshotOnce(ctx, framesBefore, digest, payload)
-		s.breaker.Record(perr)
-		return perr
-	})
-	if err != nil {
-		return err
-	}
-	s.metSnaps.Inc()
-	s.cursor = framesBefore
-	s.n.noteAck(s.target, framesBefore)
-	s.n.log.Info("replica: shipped snapshot bootstrap", "target", s.target, "frames_before", framesBefore)
-	return nil
-}
-
-func (s *shipper) postSnapshotOnce(ctx context.Context, framesBefore uint64, digest uint32, payload []byte) error {
-	if err := s.n.cfg.Chaos.Delay(ctx); err != nil {
-		return err
-	}
-	if err := s.n.cfg.Chaos.Partition(ctx); err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.target+"/replica/snapshot", bytes.NewReader(payload))
-	if err != nil {
-		return resilience.Permanent(err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(headerEpoch, strconv.FormatUint(s.n.cfg.Store.Epoch(), 10))
-	req.Header.Set(headerLeader, s.n.cfg.Self)
-	req.Header.Set(headerFramesBefore, strconv.FormatUint(framesBefore, 10))
-	req.Header.Set(headerDigest, strconv.FormatUint(uint64(digest), 10))
-	req.Header.Set(headerPayloadCRC, strconv.FormatUint(uint64(crc32.Checksum(payload, castagnoli)), 10))
-	resp, err := s.n.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	f, err := s.decodeShipResponse(resp)
-	if err != nil {
-		return err
-	}
-	// The follower may already hold more than the snapshot boundary;
-	// resume tailing from wherever it actually is.
-	if f > framesBefore {
-		s.cursor = f
-		s.n.noteAck(s.target, f)
-	}
-	return nil
 }
 
 // probe fetches the target's status to learn its cursor.

@@ -76,7 +76,7 @@ func TestParseChaosStoreKeys(t *testing.T) {
 func TestStoreFaultsEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	c := NewChaos(7, ChaosConfig{})
-	s, _, err := store.Open(dir, store.Options{Faults: c.StoreFaults()}, nil, nil)
+	s, _, err := store.Open(dir, store.Options{Faults: c.StoreFaults()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestStoreFaultsEndToEnd(t *testing.T) {
 	// The "crashed" process is abandoned without Close; recovery
 	// truncates the tear and replays the surviving record.
 	var recs [][]byte
-	s2, stats, err := store.Open(dir, store.Options{}, nil, func(rec []byte) error {
+	s2, stats, err := store.Open(dir, store.Options{}, func(rec []byte) error {
 		recs = append(recs, append([]byte(nil), rec...))
 		return nil
 	})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,62 +15,50 @@ import (
 	"testing"
 )
 
-// referenceReadFrom is ReadFrom as it was before the frame index: it
-// re-reads and CRC-checks the live segments from byte 0 on every call.
-// It numbers frames by counting them from the snapshot base in segment
-// order, so it shares no bookkeeping with the index it checks.
-func referenceReadFrom(s *Store, cursor uint64, maxBytes int) ([][]byte, uint64, error) {
-	if maxBytes <= 0 {
-		maxBytes = 1 << 20
-	}
+// referenceStream reads the committed stream as ReadFrom did before the
+// frame index: every segment re-read and CRC-checked from byte 0 (the
+// live one only up to its committed size), frames numbered by counting
+// them from 0 in segment order, so it shares no bookkeeping with the
+// index it checks.
+func referenceStream(s *Store) ([][]byte, error) {
 	s.mu.Lock()
-	base, head := s.base, s.frames.Load()
 	liveIdx, liveSize := s.index, s.size
 	s.mu.Unlock()
-	if cursor < base {
-		return nil, cursor, ErrCompacted
-	}
-	if cursor >= head {
-		return nil, cursor, nil
-	}
-	segs, snaps, err := scanDir(s.dir)
+	segs, err := scanDir(s.dir)
 	if err != nil {
-		return nil, cursor, err
+		return nil, err
 	}
-	first := uint64(0)
-	if len(snaps) > 0 {
-		first = snaps[len(snaps)-1]
-	}
-	var out [][]byte
-	next, frame := cursor, base
+	var stream [][]byte
 	for _, idx := range segs {
-		if idx < first {
-			continue // a compacted leftover
-		}
 		buf, err := os.ReadFile(filepath.Join(s.dir, segName(idx)))
 		if err != nil {
-			return nil, cursor, err
+			return nil, err
 		}
 		if idx == liveIdx && int64(len(buf)) > liveSize {
 			buf = buf[:liveSize] // never past the committed size
 		}
 		records, _, err := scanFrames(buf, segName(idx), true)
 		if err != nil {
-			return nil, cursor, err
+			return nil, err
 		}
-		for _, rec := range records {
-			if frame >= next && frame < head {
-				out = append(out, rec)
-				next = frame + 1
-				maxBytes -= len(rec)
-				if maxBytes <= 0 {
-					return out, next, nil
-				}
-			}
-			frame++
-		}
+		stream = append(stream, records...)
 	}
-	return out, next, nil
+	return stream, nil
+}
+
+// referenceReadFrom is ReadFrom over a referenceStream: the frames from
+// cursor on until their payloads reach maxBytes (the frame that reaches
+// it included), and the cursor past the last one.
+func referenceReadFrom(stream [][]byte, cursor uint64, maxBytes int) ([][]byte, uint64) {
+	if maxBytes <= 0 {
+		maxBytes = 1 << 20
+	}
+	var out [][]byte
+	for next := cursor; next < uint64(len(stream)) && maxBytes > 0; next++ {
+		out = append(out, stream[next])
+		maxBytes -= len(stream[next])
+	}
+	return out, cursor + uint64(len(out))
 }
 
 // indexCopy deep-copies the store's frame index and live size.
@@ -87,8 +74,7 @@ func indexCopy(s *Store) ([]liveSeg, int64) {
 
 // history drives one seeded random sequence of store operations and
 // keeps a model of the committed stream: model[i] is frame i's payload
-// (nil for frames a snapshot install skipped over) and digest the
-// chained CRC32C a store holding it must report.
+// and digest the chained CRC32C a store holding it must report.
 type history struct {
 	t      *testing.T
 	r      *rand.Rand
@@ -137,7 +123,7 @@ func (h *history) reopen() {
 	if h.s != nil {
 		h.s.Close() // a store failed by a torn write reports no error here
 	}
-	s, _, err := Open(h.dir, h.opts, nil, nil)
+	s, _, err := Open(h.dir, h.opts, nil)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -168,20 +154,20 @@ func (h *history) commit(recs [][]byte) {
 func (h *history) step() string {
 	t := h.t
 	switch p := h.r.Intn(100); {
-	case p < 60:
+	case p < 65:
 		recs := h.records()
 		if err := h.s.Append(recs...); err != nil {
 			t.Fatal(err)
 		}
 		h.commit(recs)
 		return fmt.Sprintf("append %d", len(recs))
-	case p < 72:
+	case p < 78:
 		// A clean failure — fsync or write — must leave no trace.
 		recs := h.records()
 		idx, size := indexCopy(h.s)
 		frames, digest := h.s.Frames(), h.s.StreamDigest()
 		what := "fsync"
-		if p < 66 {
+		if p < 72 {
 			h.failSync = true
 		} else {
 			h.failWrite, what = true, "write"
@@ -198,7 +184,7 @@ func (h *history) step() string {
 				what, size, size2, frames, h.s.Frames(), digest, h.s.StreamDigest(), idx, idx2)
 		}
 		return fmt.Sprintf("failed %s of %d", what, len(recs))
-	case p < 77:
+	case p < 85:
 		// A crash mid-write, then recovery: the whole frames before the
 		// tear survive, the torn one is cut, and the index is rebuilt.
 		recs := h.records()
@@ -220,23 +206,6 @@ func (h *history) step() string {
 		}
 		h.commit(recs[:kept])
 		return fmt.Sprintf("torn append of %d at byte %d/%d (%d kept), reopen", len(recs), tear, total, kept)
-	case p < 85:
-		if err := h.s.Snapshot(func(w io.Writer) error {
-			_, err := w.Write([]byte("state"))
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return "snapshot"
-	case p < 90:
-		skip := uint64(h.r.Intn(4))
-		at, digest := h.s.Frames()+skip, h.r.Uint32()
-		if err := h.s.InstallSnapshot(at, digest, strings.NewReader("leader state")); err != nil {
-			t.Fatal(err)
-		}
-		h.model = append(h.model, make([][]byte, skip)...)
-		h.digest = digest
-		return fmt.Sprintf("install snapshot at %d", at)
 	default:
 		h.reopen()
 		return "reopen"
@@ -250,38 +219,34 @@ func (h *history) check(what string) {
 	t.Helper()
 	s := h.s
 	s.mu.Lock()
-	base, head, live := s.base, s.frames.Load(), s.index
+	head, live := s.frames.Load(), s.index
 	s.mu.Unlock()
 	if head != uint64(len(h.model)) || s.StreamDigest() != h.digest {
 		t.Fatalf("after %s: frames %d digest %08x, model %d/%08x", what, head, s.StreamDigest(), len(h.model), h.digest)
 	}
-	// The index covers exactly the live frames [base, head), segment
-	// after consecutive segment, and ends at the live segment.
+	// The index covers exactly the frames [0, head), segment after
+	// consecutive segment, and ends at the live segment.
 	idx, _ := indexCopy(s)
-	next := base
+	next := uint64(0)
 	for _, sg := range idx {
 		if sg.first != next {
-			t.Fatalf("after %s: index %v does not run contiguously from base %d", what, idx, base)
+			t.Fatalf("after %s: index %v does not run contiguously from frame 0", what, idx)
 		}
 		next += uint64(len(sg.ends))
 	}
 	if next != head || idx[len(idx)-1].idx != live {
 		t.Fatalf("after %s: index %v does not end at frame %d in live segment %d", what, idx, head, live)
 	}
-	from := base
-	if from > 0 {
-		from-- // one compacted cursor
+	stream, err := referenceStream(s)
+	if err != nil || uint64(len(stream)) != head {
+		t.Fatalf("after %s: reference stream of %d frames, err %v; want %d frames", what, len(stream), err, head)
 	}
-	for c := from; c <= head; c++ {
+	for c := uint64(0); c <= head; c++ {
 		for _, budget := range []int{1, 9, 40, 1 << 20} {
 			got, gotNext, gotErr := s.ReadFrom(c, budget)
-			want, wantNext, wantErr := referenceReadFrom(s, c, budget)
-			if wantErr != nil && !errors.Is(wantErr, ErrCompacted) {
-				t.Fatalf("after %s: reference ReadFrom(%d, %d): %v", what, c, budget, wantErr)
-			}
-			if errors.Is(gotErr, ErrCompacted) != errors.Is(wantErr, ErrCompacted) ||
-				(gotErr != nil && !errors.Is(gotErr, ErrCompacted)) {
-				t.Fatalf("after %s: ReadFrom(%d, %d) err %v, reference %v", what, c, budget, gotErr, wantErr)
+			want, wantNext := referenceReadFrom(stream, c, budget)
+			if gotErr != nil {
+				t.Fatalf("after %s: ReadFrom(%d, %d): %v", what, c, budget, gotErr)
 			}
 			if gotNext != wantNext || len(got) != len(want) {
 				t.Fatalf("after %s: ReadFrom(%d, %d) = %d recs next %d, reference %d recs next %d",
@@ -291,7 +256,7 @@ func (h *history) check(what string) {
 				if !bytes.Equal(got[i], want[i]) {
 					t.Fatalf("after %s: ReadFrom(%d, %d) record %d = %x, reference %x", what, c, budget, i, got[i], want[i])
 				}
-				if m := h.model[c+uint64(i)]; m != nil && !bytes.Equal(got[i], m) {
+				if m := h.model[c+uint64(i)]; !bytes.Equal(got[i], m) {
 					t.Fatalf("after %s: frame %d = %x, committed %x", what, c+uint64(i), got[i], m)
 				}
 			}
@@ -314,7 +279,7 @@ func TestReadFromMatchesReferenceModel(t *testing.T) {
 
 func TestReadFromCorruptRangeTypedError(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := open(t, dir, Options{}, nil, nil)
+	s, _ := open(t, dir, Options{}, nil)
 	defer s.Close()
 	appendAll(t, s, "alpha", "beta", "gamma")
 	// Flip a payload byte of the middle frame behind the store's back.
@@ -354,11 +319,12 @@ func TestReadFromCorruptRangeTypedError(t *testing.T) {
 }
 
 // TestReadFromConcurrentTailers runs tailing readers against writers
-// that append single and multi-record batches across tiny segments
-// while a compactor snapshots: every batch a reader gets must be a
-// contiguous, byte-identical slice of what the writers committed.
+// that append single and multi-record batches across tiny segments:
+// every batch a reader gets must be a contiguous, byte-identical slice
+// of what the writers committed, and every reader must reach the head
+// without an error.
 func TestReadFromConcurrentTailers(t *testing.T) {
-	s, _, err := Open(t.TempDir(), Options{Policy: FsyncNever, SegmentBytes: 512}, nil, nil)
+	s, _, err := Open(t.TempDir(), Options{Policy: FsyncNever, SegmentBytes: 512}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,26 +368,6 @@ func TestReadFromConcurrentTailers(t *testing.T) {
 	}()
 
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if err := s.Snapshot(func(w io.Writer) error {
-				_, err := w.Write([]byte("state"))
-				return err
-			}); err != nil {
-				t.Error(err)
-				return
-			}
-			runtime.Gosched()
-		}
-	}()
-
 	for rd := 0; rd < readers; rd++ {
 		wg.Add(1)
 		go func(rd int) {
@@ -431,14 +377,6 @@ func TestReadFromConcurrentTailers(t *testing.T) {
 			for {
 				head := s.Frames()
 				batch, next, err := s.ReadFrom(cursor, 1+r.Intn(300))
-				if errors.Is(err, ErrCompacted) {
-					// Re-bootstrap at the snapshot boundary, as the shipper
-					// does; a snapshot replaced mid-lookup is retried.
-					if fb, _, _, err := s.LatestSnapshot(); err == nil && fb > cursor {
-						cursor = fb
-					}
-					continue
-				}
 				if err != nil {
 					t.Errorf("reader %d: ReadFrom(%d): %v", rd, cursor, err)
 					return
@@ -485,7 +423,7 @@ func BenchmarkReadFrom(b *testing.B) {
 	rec := bytes.Repeat([]byte("r"), 256)
 	for _, n := range []int{100, 1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("frames=%d", n), func(b *testing.B) {
-			s, _, err := Open(b.TempDir(), Options{Policy: FsyncNever}, nil, nil)
+			s, _, err := Open(b.TempDir(), Options{Policy: FsyncNever}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

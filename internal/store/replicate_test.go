@@ -2,16 +2,13 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
-	"strings"
 	"testing"
 )
 
 func TestFramesAndDigestAdvance(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := open(t, dir, Options{}, nil, nil)
+	s, _ := open(t, dir, Options{}, nil)
 	if s.Frames() != 0 || s.StreamDigest() != 0 {
 		t.Fatalf("fresh store frames=%d digest=%08x, want zeros", s.Frames(), s.StreamDigest())
 	}
@@ -28,7 +25,7 @@ func TestFramesAndDigestAdvance(t *testing.T) {
 	}
 
 	// Reopen: the cursor and chained digest are rebuilt from the log.
-	s2, _ := open(t, dir, Options{}, nil, nil)
+	s2, _ := open(t, dir, Options{}, nil)
 	defer s2.Close()
 	if s2.Frames() != 3 || s2.StreamDigest() != digest {
 		t.Fatalf("reopened frames=%d digest=%08x, want 3/%08x", s2.Frames(), s2.StreamDigest(), digest)
@@ -36,7 +33,7 @@ func TestFramesAndDigestAdvance(t *testing.T) {
 }
 
 func TestDigestAtHistory(t *testing.T) {
-	s, _ := open(t, t.TempDir(), Options{}, nil, nil)
+	s, _ := open(t, t.TempDir(), Options{}, nil)
 	defer s.Close()
 	if d, ok := s.DigestAt(0); !ok || d != 0 {
 		t.Fatalf("DigestAt(0) = %08x,%v, want 0,true", d, ok)
@@ -59,7 +56,7 @@ func TestDigestAtHistory(t *testing.T) {
 
 func TestReadFromTailsAcrossRotation(t *testing.T) {
 	// Tiny segments force rotation every record or two.
-	s, _ := open(t, t.TempDir(), Options{SegmentBytes: 32}, nil, nil)
+	s, _ := open(t, t.TempDir(), Options{SegmentBytes: 32}, nil)
 	defer s.Close()
 	var want []string
 	for i := 0; i < 9; i++ {
@@ -107,86 +104,9 @@ func TestReadFromTailsAcrossRotation(t *testing.T) {
 	}
 }
 
-func TestReadFromCompactedCursor(t *testing.T) {
-	s, _ := open(t, t.TempDir(), Options{}, nil, nil)
-	defer s.Close()
-	appendAll(t, s, "a", "b", "c")
-	if err := s.Snapshot(func(w io.Writer) error {
-		_, err := w.Write([]byte(`{"state":"compacted"}`))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, s, "d")
-	if _, _, err := s.ReadFrom(1, 1<<20); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("ReadFrom below snapshot base: %v, want ErrCompacted", err)
-	}
-	recs, next, err := s.ReadFrom(3, 1<<20)
-	if err != nil || len(recs) != 1 || string(recs[0]) != "d" || next != 4 {
-		t.Fatalf("ReadFrom(base) = %v/%d err %v, want the post-snapshot tail", recs, next, err)
-	}
-}
-
-func TestLatestSnapshotAndInstall(t *testing.T) {
-	leaderDir := t.TempDir()
-	leader, _ := open(t, leaderDir, Options{}, nil, nil)
-	defer leader.Close()
-	appendAll(t, leader, "one", "two", "three")
-	wantDigest := leader.StreamDigest()
-	if err := leader.Snapshot(func(w io.Writer) error {
-		_, err := w.Write([]byte(`{"rows":3}`))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	framesBefore, digest, payload, err := leader.LatestSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if framesBefore != 3 || digest != wantDigest || string(payload) != `{"rows":3}` {
-		t.Fatalf("LatestSnapshot = %d/%08x/%q, want 3/%08x", framesBefore, digest, payload, wantDigest)
-	}
-
-	// A fresh follower installs it and continues the stream in lockstep.
-	var gotSnap []byte
-	followerDir := t.TempDir()
-	follower, _ := open(t, followerDir, Options{}, nil, &gotSnap)
-	if err := follower.InstallSnapshot(framesBefore, digest, bytes.NewReader(payload)); err != nil {
-		t.Fatal(err)
-	}
-	if follower.Frames() != 3 || follower.StreamDigest() != wantDigest {
-		t.Fatalf("post-install frames=%d digest=%08x, want 3/%08x",
-			follower.Frames(), follower.StreamDigest(), wantDigest)
-	}
-	appendAll(t, leader, "four")
-	appendAll(t, follower, "four")
-	if follower.StreamDigest() != leader.StreamDigest() || follower.Frames() != leader.Frames() {
-		t.Fatalf("post-tail divergence: follower %d/%08x leader %d/%08x",
-			follower.Frames(), follower.StreamDigest(), leader.Frames(), leader.StreamDigest())
-	}
-
-	// Rewinding installs are refused.
-	if err := follower.InstallSnapshot(1, 0, strings.NewReader("x")); err == nil {
-		t.Fatal("InstallSnapshot accepted a cursor rewind")
-	}
-	if err := follower.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The installed snapshot is the follower's own recovery source.
-	follower2, stats := open(t, followerDir, Options{}, nil, &gotSnap)
-	defer follower2.Close()
-	if !stats.SnapshotLoaded || follower2.Frames() != 4 || follower2.StreamDigest() != leader.StreamDigest() {
-		t.Fatalf("reopened follower stats=%+v frames=%d digest=%08x", stats, follower2.Frames(), follower2.StreamDigest())
-	}
-	if !bytes.Contains(gotSnap, []byte(`"rows":3`)) {
-		t.Fatalf("recovery saw snapshot payload %q, want the leader's body", gotSnap)
-	}
-}
-
 func TestEpochPersistsAndRefusesRegression(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := open(t, dir, Options{}, nil, nil)
+	s, _ := open(t, dir, Options{}, nil)
 	if s.Epoch() != 0 {
 		t.Fatalf("fresh epoch = %d, want 0", s.Epoch())
 	}
@@ -202,7 +122,7 @@ func TestEpochPersistsAndRefusesRegression(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := open(t, dir, Options{}, nil, nil)
+	s2, _ := open(t, dir, Options{}, nil)
 	defer s2.Close()
 	if s2.Epoch() != 3 {
 		t.Fatalf("reopened epoch = %d, want 3 (fence must survive restart)", s2.Epoch())

@@ -1,14 +1,14 @@
 // Package store is a small, stdlib-only storage engine: an append-only
 // write-ahead log of opaque records, CRC32C-framed and length-prefixed,
-// with segment rotation, snapshot+compaction, a configurable fsync
-// policy, and a recovery reader that distinguishes the torn tail a
-// crash leaves behind (truncated, tolerated) from corruption in the
-// body of the log (a typed error, never silently dropped).
+// with segment rotation, a configurable fsync policy, and a recovery
+// reader that distinguishes the torn tail a crash leaves behind
+// (truncated, tolerated) from corruption in the body of the log (a
+// typed error, never silently dropped).
 //
 // The engine knows nothing about what it stores. Callers append
-// serialized records and rebuild their state at Open time from the
-// latest snapshot plus every record appended after it. internal/market
-// journals its transaction ledger and idempotency replays through it;
+// serialized records and rebuild their state at Open time from every
+// record ever appended. internal/market journals its transaction
+// ledger and idempotency replays through it;
 // observability and fault injection are threaded in via Hooks and
 // Faults so the package itself stays dependency-free.
 package store
@@ -38,8 +38,8 @@ const (
 	// the background every Interval: a crash loses at most the last
 	// interval's acknowledged appends.
 	FsyncInterval
-	// FsyncNever leaves syncing to the OS (plus rotation, snapshot and
-	// Close, which always sync): fastest, weakest.
+	// FsyncNever leaves syncing to the OS (plus rotation and Close,
+	// which always sync): fastest, weakest.
 	FsyncNever
 )
 
@@ -132,14 +132,17 @@ var (
 	ErrCorrupt = errors.New("store: corrupt wal")
 	// ErrClosed is returned by operations on a closed store.
 	ErrClosed = errors.New("store: closed")
+	// ErrSnapshotFound matches (via errors.Is) the error Open returns
+	// for a directory holding a compaction snapshot (snap-*.db), which
+	// older versions wrote. Stores no longer read snapshots, and
+	// replaying only the segments after one would silently drop the
+	// rows it holds, so the error names the file instead.
+	ErrSnapshotFound = errors.New("store: directory holds a compaction snapshot this version cannot read")
 )
 
 // RecoveryStats summarizes what Open rebuilt.
 type RecoveryStats struct {
-	// SnapshotLoaded reports whether a compaction snapshot was read.
-	SnapshotLoaded bool
-	// Records is the number of WAL records replayed (after the
-	// snapshot, if any).
+	// Records is the number of WAL records replayed.
 	Records int
 	// Segments is the number of WAL segments scanned.
 	Segments int
@@ -177,22 +180,20 @@ type Store struct {
 	done  chan struct{} // background syncer exited
 
 	// Replication bookkeeping (see replicate.go). frames is the logical
-	// record cursor: how many records the full stream holds (snapshot
-	// base + everything appended since), identical across replicas
-	// because every node appends the same record sequence. digest chains
-	// a CRC32C over every payload in stream order; epoch is the
-	// persisted leader-fencing epoch. base, segs and the digest ring are
-	// guarded by mu.
+	// record cursor: how many records the stream holds, identical across
+	// replicas because every node appends the same record sequence.
+	// digest chains a CRC32C over every payload in stream order; epoch
+	// is the persisted leader-fencing epoch. segs and the digest ring
+	// are guarded by mu.
 	frames   atomic.Uint64
 	digest   atomic.Uint32
 	epoch    atomic.Uint64
-	base     uint64        // frames covered by the newest snapshot
-	segs     []liveSeg     // frame index of the live segments, oldest first; the last is being appended to
+	segs     []liveSeg     // frame index of the segments, oldest first; the last is being appended to
 	ring     []digestPoint // recent (frames, digest) pairs for divergence audits
 	ringHead int
 }
 
-// liveSeg is the frame index of one live segment: the global frame
+// liveSeg is the frame index of one segment: the global frame
 // number of its first record and the end offset of every committed
 // frame in it, so frame first+k occupies bytes [ends[k-1], ends[k])
 // (from 0 for k = 0). ReadFrom uses it to read exactly the frames it
@@ -204,14 +205,14 @@ type liveSeg struct {
 }
 
 // Open opens (creating if needed) the store in dir and replays its
-// persisted state: the newest snapshot, if one exists, is streamed to
-// onSnapshot, then every record appended after it is handed to
-// onRecord in append order. A torn final frame — the signature of a
-// crash mid-append — is truncated away and counted in the stats;
-// corruption anywhere else aborts with an error matching ErrCorrupt.
-// Either callback may be nil if the caller keeps no such state; a
-// callback error aborts the open.
-func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func(rec []byte) error) (*Store, RecoveryStats, error) {
+// persisted state: every record is handed to onRecord in append order.
+// A torn final frame — the signature of a crash mid-append — is
+// truncated away and counted in the stats; corruption anywhere else,
+// a missing segment included, aborts with an error matching
+// ErrCorrupt, and a directory holding a compaction snapshot with one
+// matching ErrSnapshotFound. onRecord may
+// be nil if the caller keeps no state; its error aborts the open.
+func Open(dir string, o Options, onRecord func(rec []byte) error) (*Store, RecoveryStats, error) {
 	var stats RecoveryStats
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
@@ -225,41 +226,30 @@ func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func
 	if err := removeTmp(dir); err != nil {
 		return nil, stats, err
 	}
-	segs, snaps, err := scanDir(dir)
+	segs, err := scanDir(dir)
 	if err != nil {
 		return nil, stats, err
 	}
-
-	// Recover: newest snapshot first, then every segment at or past its
-	// index. Segments older than the snapshot are compacted leftovers.
-	first := uint64(1)
-	var hdr snapHeader
-	if len(snaps) > 0 {
-		snapIdx := snaps[len(snaps)-1]
-		h, err := loadSnapshot(filepath.Join(dir, snapName(snapIdx)), onSnapshot)
-		if err != nil {
-			return nil, stats, err
+	// Rotation adds segments one at a time from 1 and nothing deletes
+	// one, so a gap in the numbering is lost history, refused rather
+	// than replayed around.
+	for i, idx := range segs {
+		if want := uint64(i + 1); idx != want {
+			return nil, stats, &CorruptError{Segment: segName(want), Reason: "segment missing"}
 		}
-		hdr = h
-		stats.SnapshotLoaded = true
-		first = snapIdx
 	}
-	live := segs
-	for len(live) > 0 && live[0] < first {
-		live = live[1:]
-	}
-	// Rebuild the logical frame cursor as the segments replay: the
-	// snapshot header anchors the base, each valid record advances the
-	// cursor and folds its payload into the stream digest, and every
-	// segment's frame index records where it starts in the stream and
-	// where each of its frames ends, so ReadFrom can seek a cursor to a
-	// file position.
-	digest := hdr.Digest
-	frameIndex := make([]liveSeg, 0, len(live)+1)
-	for i, idx := range live {
+
+	// Rebuild the logical frame cursor as the segments replay: each
+	// valid record advances the cursor and folds its payload into the
+	// stream digest, and every segment's frame index records where it
+	// starts in the stream and where each of its frames ends, so
+	// ReadFrom can seek a cursor to a file position.
+	var digest uint32
+	frameIndex := make([]liveSeg, 0, len(segs)+1)
+	for i, idx := range segs {
 		name := segName(idx)
-		last := i == len(live)-1
-		seg := liveSeg{idx: idx, first: hdr.FramesBefore + uint64(stats.Records)}
+		last := i == len(segs)-1
+		seg := liveSeg{idx: idx, first: uint64(stats.Records)}
 		buf, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, stats, fmt.Errorf("store: reading segment %s: %w", name, err)
@@ -301,11 +291,10 @@ func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	// Continue the newest live segment, or start a fresh one at the
-	// snapshot boundary.
-	s.index = first
-	if len(live) > 0 {
-		s.index = live[len(live)-1]
+	// Continue the newest segment, or start the first one.
+	s.index = 1
+	if len(segs) > 0 {
+		s.index = segs[len(segs)-1]
 	}
 	path := filepath.Join(dir, segName(s.index))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
@@ -318,13 +307,11 @@ func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func
 		return nil, stats, fmt.Errorf("store: seeking segment end: %w", err)
 	}
 	s.f, s.size = f, sz
-	s.removeObsolete(segs, snaps, first)
 
-	s.base = hdr.FramesBefore
-	s.frames.Store(hdr.FramesBefore + uint64(stats.Records))
+	s.frames.Store(uint64(stats.Records))
 	s.digest.Store(digest)
-	if len(live) == 0 {
-		frameIndex = append(frameIndex, liveSeg{idx: s.index, first: s.frames.Load()})
+	if len(segs) == 0 {
+		frameIndex = append(frameIndex, liveSeg{idx: s.index})
 	}
 	s.segs = frameIndex
 	s.ring = make([]digestPoint, digestRingSize)
@@ -344,10 +331,10 @@ func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func
 	return s, stats, nil
 }
 
-// removeTmp deletes the .tmp files a snapshot or epoch update leaves
-// behind when it crashes before its atomic rename. Only Open may do
-// this: on a live store, Snapshot, InstallSnapshot or SetEpoch may be
-// writing one while a reader lists the directory.
+// removeTmp deletes the .tmp files an epoch update (or an older
+// version's snapshot write) leaves behind when it crashes before its
+// atomic rename. Only Open may do this: on a live store SetEpoch may be
+// writing one.
 func removeTmp(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -361,71 +348,31 @@ func removeTmp(dir string) error {
 	return nil
 }
 
-// scanDir lists segment and snapshot indices, each sorted ascending.
-func scanDir(dir string) (segs, snaps []uint64, err error) {
+// scanDir lists segment indices, sorted ascending. A compaction
+// snapshot in dir is refused with ErrSnapshotFound.
+func scanDir(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: listing %s: %w", dir, err)
+		return nil, fmt.Errorf("store: listing %s: %w", dir, err)
 	}
+	var segs []uint64
 	for _, e := range entries {
 		name := e.Name()
 		switch {
 		case strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix):
-			if idx, err := parseIndex(name, segPrefix, segSuffix); err == nil {
+			idx, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix), 10, 64)
+			if err == nil {
 				segs = append(segs, idx)
 			}
 		case strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix):
-			if idx, err := parseIndex(name, snapPrefix, snapSuffix); err == nil {
-				snaps = append(snaps, idx)
-			}
+			return nil, fmt.Errorf("%w: %s", ErrSnapshotFound, filepath.Join(dir, name))
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
-	return segs, snaps, nil
+	return segs, nil
 }
 
-func segName(idx uint64) string  { return fmt.Sprintf("%s%08d%s", segPrefix, idx, segSuffix) }
-func snapName(idx uint64) string { return fmt.Sprintf("%s%08d%s", snapPrefix, idx, snapSuffix) }
-
-func parseIndex(name, prefix, suffix string) (uint64, error) {
-	return strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
-}
-
-// loadSnapshot reads a snapshot file: the framed snapHeader first (see
-// replicate.go), then the caller payload streamed to onSnapshot.
-func loadSnapshot(path string, onSnapshot func(io.Reader) error) (snapHeader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return snapHeader{}, fmt.Errorf("store: opening snapshot: %w", err)
-	}
-	defer f.Close()
-	hdr, err := readSnapHeader(f, filepath.Base(path))
-	if err != nil {
-		return snapHeader{}, err
-	}
-	if onSnapshot != nil {
-		if err := onSnapshot(f); err != nil {
-			return snapHeader{}, fmt.Errorf("store: loading snapshot %s: %w", filepath.Base(path), err)
-		}
-	}
-	return hdr, nil
-}
-
-// removeObsolete deletes segments and snapshots made redundant by the
-// snapshot at keep. Best-effort: leftovers are retried at next open.
-func (s *Store) removeObsolete(segs, snaps []uint64, keep uint64) {
-	for _, idx := range segs {
-		if idx < keep {
-			os.Remove(filepath.Join(s.dir, segName(idx)))
-		}
-	}
-	for _, idx := range snaps {
-		if idx < keep {
-			os.Remove(filepath.Join(s.dir, snapName(idx)))
-		}
-	}
-}
+func segName(idx uint64) string { return fmt.Sprintf("%s%08d%s", segPrefix, idx, segSuffix) }
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
@@ -459,8 +406,8 @@ func (s *Store) FsyncLag() time.Duration {
 	return time.Since(s.dirtySince)
 }
 
-// fail latches the store into the failed state: every later Append,
-// Flush and Snapshot reports the original cause.
+// fail latches the store into the failed state: every later Append
+// and Flush reports the original cause.
 func (s *Store) fail(err error) {
 	if s.failErr == nil {
 		s.failErr = err
@@ -470,7 +417,7 @@ func (s *Store) fail(err error) {
 // Append journals records, in order, with one write and (under
 // FsyncAlways) one fsync. Under FsyncAlways they are durable when
 // Append returns; under the other policies they are durable after the
-// next background sync, rotation, snapshot or Close. On a clean write
+// next background sync, rotation or Close. On a clean write
 // or fsync failure the log is repaired (truncated back to its size
 // before the call) and the error returned — none of the records
 // counts, so a caller that did not acknowledge its client can safely
@@ -688,72 +635,6 @@ func (s *Store) Flush() error {
 	}
 	s.dirty.Store(false)
 	return s.syncLocked()
-}
-
-// Snapshot compacts the log: write streams the caller's full current
-// state into a snapshot that atomically replaces every record appended
-// so far, and the segments it covers are deleted. Appends are blocked
-// for the duration; recovery after a crash at any point sees either
-// the old log or the new snapshot, never a mix.
-func (s *Store) Snapshot(write func(w io.Writer) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.failErr != nil {
-		return fmt.Errorf("store: unavailable after earlier failure: %w", s.failErr)
-	}
-	// Seal the live segment and open the post-snapshot one, so the
-	// snapshot boundary falls exactly between segments.
-	if err := s.rotateLocked(); err != nil {
-		s.fail(err)
-		return s.failErr
-	}
-	boundary := s.index
-	tmp := filepath.Join(s.dir, snapName(boundary)+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating snapshot: %w", err)
-	}
-	// The header rides inside the snapshot file, so the frame cursor it
-	// anchors is atomic with the rename that publishes the state.
-	hdr := snapHeader{FramesBefore: s.frames.Load(), Digest: s.digest.Load()}
-	if err := writeSnapHeader(f, hdr); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapName(boundary))); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: publishing snapshot: %w", err)
-	}
-	if err := s.syncDir(); err != nil {
-		return fmt.Errorf("store: syncing directory after snapshot: %w", err)
-	}
-	// The snapshot now owns everything before the boundary; the segment
-	// rotateLocked just opened is the only live one left.
-	s.base = hdr.FramesBefore
-	s.segs = []liveSeg{s.segs[len(s.segs)-1]}
-	segs, snaps, err := scanDir(s.dir)
-	if err == nil {
-		s.removeObsolete(segs, snaps, boundary)
-	}
-	return nil
 }
 
 // Close stops the background syncer, flushes outstanding appends, and

@@ -5,34 +5,22 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
-// open is Open with collection callbacks: records land in *got, the
-// snapshot body in *snap.
-func open(t *testing.T, dir string, o Options, got *[][]byte, snap *[]byte) (*Store, RecoveryStats) {
+// open is Open with a collecting callback: records land in *got.
+func open(t *testing.T, dir string, o Options, got *[][]byte) (*Store, RecoveryStats) {
 	t.Helper()
-	s, stats, err := Open(dir, o,
-		func(r io.Reader) error {
-			b, err := io.ReadAll(r)
-			if err != nil {
-				return err
-			}
-			if snap != nil {
-				*snap = b
-			}
-			return nil
-		},
-		func(rec []byte) error {
-			if got != nil {
-				*got = append(*got, append([]byte(nil), rec...))
-			}
-			return nil
-		})
+	s, stats, err := Open(dir, o, func(rec []byte) error {
+		if got != nil {
+			*got = append(*got, append([]byte(nil), rec...))
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +40,8 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	for _, policy := range []Policy{FsyncAlways, FsyncInterval, FsyncNever} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			s, stats := open(t, dir, Options{Policy: policy}, nil, nil)
-			if stats.Records != 0 || stats.SnapshotLoaded {
+			s, stats := open(t, dir, Options{Policy: policy}, nil)
+			if stats.Records != 0 {
 				t.Fatalf("fresh dir recovered state: %+v", stats)
 			}
 			appendAll(t, s, "alpha", "beta", "gamma")
@@ -62,7 +50,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 			}
 
 			var got [][]byte
-			s2, stats := open(t, dir, Options{Policy: policy}, &got, nil)
+			s2, stats := open(t, dir, Options{Policy: policy}, &got)
 			defer s2.Close()
 			if stats.Records != 3 || stats.TruncatedBytes != 0 {
 				t.Fatalf("recovery stats %+v, want 3 clean records", stats)
@@ -77,7 +65,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 }
 
 func TestAppendRejectsEmptyRecord(t *testing.T) {
-	s, _ := open(t, t.TempDir(), Options{}, nil, nil)
+	s, _ := open(t, t.TempDir(), Options{}, nil)
 	defer s.Close()
 	if err := s.Append(nil); err == nil {
 		t.Fatal("empty record accepted")
@@ -86,14 +74,14 @@ func TestAppendRejectsEmptyRecord(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := open(t, dir, Options{SegmentBytes: 64}, nil, nil)
+	s, _ := open(t, dir, Options{SegmentBytes: 64}, nil)
 	for i := 0; i < 20; i++ {
 		appendAll(t, s, fmt.Sprintf("record-%02d", i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _, err := scanDir(dir)
+	segs, err := scanDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +90,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 
 	var got [][]byte
-	s2, stats := open(t, dir, Options{SegmentBytes: 64}, &got, nil)
+	s2, stats := open(t, dir, Options{SegmentBytes: 64}, &got)
 	defer s2.Close()
 	if stats.Records != 20 || stats.Segments != len(segs) {
 		t.Fatalf("recovery stats %+v, want 20 records over %d segments", stats, len(segs))
@@ -114,70 +102,76 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-func TestSnapshotCompaction(t *testing.T) {
+// TestOpenRefusesSnapshotDir: a directory holding a compaction
+// snapshot, which older versions wrote, is refused with an error that
+// names the file, because replaying only the segments after it would
+// drop the rows it holds. Leftover .tmp files are still removed, and
+// the segments and the snapshot are left as they were.
+func TestOpenRefusesSnapshotDir(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := open(t, dir, Options{SegmentBytes: 48}, nil, nil)
-	appendAll(t, s, "one", "two", "three", "four", "five")
-	if err := s.Snapshot(func(w io.Writer) error {
-		_, err := w.Write([]byte("STATE:5"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, s, "six", "seven")
+	s, _ := open(t, dir, Options{}, nil)
+	appendAll(t, s, "alpha")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Pre-snapshot segments are gone.
-	segs, snaps, err := scanDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 1 {
-		t.Fatalf("want 1 snapshot, got %d", len(snaps))
-	}
-	for _, idx := range segs {
-		if idx < snaps[0] {
-			t.Fatalf("segment %d predates snapshot %d: not compacted", idx, snaps[0])
+	snap := filepath.Join(dir, "snap-00000002.db")
+	tmps := []string{filepath.Join(dir, "snap-00000003.db.tmp"), filepath.Join(dir, epochFile+".tmp")}
+	for _, p := range append([]string{snap}, tmps...) {
+		if err := os.WriteFile(p, []byte("state"), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	var got [][]byte
-	var snap []byte
-	s2, stats := open(t, dir, Options{}, &got, &snap)
-	defer s2.Close()
-	if !stats.SnapshotLoaded || string(snap) != "STATE:5" {
-		t.Fatalf("snapshot not recovered: stats %+v, body %q", stats, snap)
+	_, _, err := Open(dir, Options{}, nil)
+	if !errors.Is(err, ErrSnapshotFound) || !strings.Contains(err.Error(), snap) {
+		t.Fatalf("Open of a directory holding %s: %v, want ErrSnapshotFound naming the file", snap, err)
 	}
-	if stats.Records != 2 || string(got[0]) != "six" || string(got[1]) != "seven" {
-		t.Fatalf("post-snapshot tail wrong: %q", got)
+	for _, p := range tmps {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("leftover %s not removed: %v", p, err)
+		}
+	}
+	if _, err := os.Stat(snap); err != nil {
+		t.Fatalf("refused snapshot: %v", err)
+	}
+	if err := os.Remove(snap); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	s2, _ := open(t, dir, Options{}, &got)
+	defer s2.Close()
+	if len(got) != 1 || string(got[0]) != "alpha" {
+		t.Fatalf("segment after the refusal holds %q, want the one record", got)
 	}
 }
 
-func TestSnapshotWriterErrorLeavesLogUsable(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := open(t, dir, Options{}, nil, nil)
-	appendAll(t, s, "one")
-	boom := errors.New("serialization failed")
-	if err := s.Snapshot(func(io.Writer) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("snapshot error %v, want wrapped %v", err, boom)
-	}
-	appendAll(t, s, "two")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var got [][]byte
-	s2, stats := open(t, dir, Options{}, &got, nil)
-	defer s2.Close()
-	if stats.SnapshotLoaded || stats.Records != 2 {
-		t.Fatalf("aborted snapshot corrupted recovery: %+v", stats)
+// TestOpenRefusesMissingSegment: segments run from 1 without a gap, so
+// a journal missing one — the leading segments an older version
+// compacted away, say, once its snapshot is removed — is lost history
+// and refused as corruption naming the missing segment.
+func TestOpenRefusesMissingSegment(t *testing.T) {
+	for _, missing := range []uint64{1, 2} {
+		dir := t.TempDir()
+		s, _ := open(t, dir, Options{SegmentBytes: 32}, nil)
+		for i := 0; i < 8; i++ {
+			appendAll(t, s, fmt.Sprintf("record-%02d", i))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, segName(missing))); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Open(dir, Options{}, nil)
+		var ce *CorruptError
+		if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) || ce.Segment != segName(missing) {
+			t.Fatalf("Open without %s: %v, want a *CorruptError naming it", segName(missing), err)
+		}
 	}
 }
 
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := open(t, dir, Options{}, nil, nil)
+	s, _ := open(t, dir, Options{}, nil)
 	appendAll(t, s, "alpha", "beta", "gamma")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -193,7 +187,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 
 	var got [][]byte
-	s2, stats := open(t, dir, Options{}, &got, nil)
+	s2, stats := open(t, dir, Options{}, &got)
 	if stats.Records != 2 || stats.TruncatedBytes == 0 {
 		t.Fatalf("torn tail not truncated: %+v", stats)
 	}
@@ -206,7 +200,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = nil
-	s3, stats := open(t, dir, Options{}, &got, nil)
+	s3, stats := open(t, dir, Options{}, &got)
 	defer s3.Close()
 	if stats.Records != 3 || stats.TruncatedBytes != 0 || string(got[2]) != "gamma2" {
 		t.Fatalf("post-truncation append lost: %+v %q", stats, got)
@@ -215,7 +209,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestMidLogCorruptionTypedError(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := open(t, dir, Options{}, nil, nil)
+	s, _ := open(t, dir, Options{}, nil)
 	appendAll(t, s, "alpha", "beta", "gamma")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -232,7 +226,7 @@ func TestMidLogCorruptionTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = Open(dir, Options{}, nil, nil)
+	_, _, err = Open(dir, Options{}, nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-log corruption returned %v, want ErrCorrupt", err)
 	}
@@ -244,14 +238,14 @@ func TestMidLogCorruptionTypedError(t *testing.T) {
 
 func TestCorruptionInEarlierSegmentTypedError(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := open(t, dir, Options{SegmentBytes: 32}, nil, nil)
+	s, _ := open(t, dir, Options{SegmentBytes: 32}, nil)
 	for i := 0; i < 8; i++ {
 		appendAll(t, s, fmt.Sprintf("record-%02d", i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _, err := scanDir(dir)
+	segs, err := scanDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +262,7 @@ func TestCorruptionInEarlierSegmentTypedError(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-2); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Open(dir, Options{}, nil, nil)
+	_, _, err = Open(dir, Options{}, nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("sealed-segment damage returned %v, want ErrCorrupt", err)
 	}
@@ -285,7 +279,7 @@ func TestCleanWriteFaultKeepsStoreHealthy(t *testing.T) {
 		}
 		return len(frame), nil
 	}}
-	s, _ := open(t, dir, Options{Faults: faults}, nil, nil)
+	s, _ := open(t, dir, Options{Faults: faults}, nil)
 	appendAll(t, s, "one")
 	failNext = true
 	if err := s.Append([]byte("two")); !errors.Is(err, injected) {
@@ -299,7 +293,7 @@ func TestCleanWriteFaultKeepsStoreHealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [][]byte
-	s2, stats := open(t, dir, Options{}, &got, nil)
+	s2, stats := open(t, dir, Options{}, &got)
 	defer s2.Close()
 	if stats.Records != 2 || string(got[0]) != "one" || string(got[1]) != "three" {
 		t.Fatalf("recovered %q, want the two acknowledged records", got)
@@ -317,7 +311,7 @@ func TestTornWriteFaultFailsStoreAndRecoveryTruncates(t *testing.T) {
 		}
 		return len(frame), nil
 	}}
-	s, _ := open(t, dir, Options{Faults: faults}, nil, nil)
+	s, _ := open(t, dir, Options{Faults: faults}, nil)
 	appendAll(t, s, "one", "two")
 	torn = true
 	if err := s.Append([]byte("three")); !errors.Is(err, injected) {
@@ -331,7 +325,7 @@ func TestTornWriteFaultFailsStoreAndRecoveryTruncates(t *testing.T) {
 	}
 	// No Close: the process "died". Recovery truncates the tear.
 	var got [][]byte
-	s2, stats := open(t, dir, Options{}, &got, nil)
+	s2, stats := open(t, dir, Options{}, &got)
 	defer s2.Close()
 	if stats.Records != 2 || stats.TruncatedBytes == 0 {
 		t.Fatalf("recovery stats %+v, want 2 records and a truncated tear", stats)
@@ -352,7 +346,7 @@ func TestFsyncFaultFailsAppendButRepairs(t *testing.T) {
 		}
 		return nil
 	}}
-	s, _ := open(t, dir, Options{Policy: FsyncAlways, Faults: faults}, nil, nil)
+	s, _ := open(t, dir, Options{Policy: FsyncAlways, Faults: faults}, nil)
 	appendAll(t, s, "one")
 	fail = true
 	if err := s.Append([]byte("two")); !errors.Is(err, injected) {
@@ -366,7 +360,7 @@ func TestFsyncFaultFailsAppendButRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [][]byte
-	s2, _ := open(t, dir, Options{}, &got, nil)
+	s2, _ := open(t, dir, Options{}, &got)
 	defer s2.Close()
 	if len(got) != 2 || string(got[1]) != "three" {
 		t.Fatalf("unacknowledged record resurfaced: %q", got)
@@ -380,7 +374,7 @@ func TestIntervalPolicySyncsInBackground(t *testing.T) {
 		Policy:   FsyncInterval,
 		Interval: time.Millisecond,
 		Hooks:    Hooks{OnFsync: func() { synced <- struct{}{} }},
-	}, nil, nil)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +397,7 @@ func TestHooksCount(t *testing.T) {
 			OnAppend: func(time.Duration) { appends++ },
 			OnFsync:  func() { fsyncs++ },
 		},
-	}, nil, nil)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +434,7 @@ func TestParsePolicy(t *testing.T) {
 }
 
 func TestClosedStoreRefusesOperations(t *testing.T) {
-	s, _ := open(t, t.TempDir(), Options{}, nil, nil)
+	s, _ := open(t, t.TempDir(), Options{}, nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +458,7 @@ func TestClosedStoreRefusesOperations(t *testing.T) {
 // garbage records.
 func TestZeroFilledTailTruncates(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := open(t, dir, Options{}, nil, nil)
+	s, _ := open(t, dir, Options{}, nil)
 	appendAll(t, s, "alpha")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -481,7 +475,7 @@ func TestZeroFilledTailTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [][]byte
-	s2, stats := open(t, dir, Options{}, &got, nil)
+	s2, stats := open(t, dir, Options{}, &got)
 	defer s2.Close()
 	if stats.Records != 1 || stats.TruncatedBytes != 64 {
 		t.Fatalf("zero tail not truncated: %+v", stats)
@@ -493,7 +487,7 @@ func TestZeroFilledTailTruncates(t *testing.T) {
 // shape.
 func TestFrameLengthOverrunAtTailTruncates(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := open(t, dir, Options{}, nil, nil)
+	s, _ := open(t, dir, Options{}, nil)
 	appendAll(t, s, "alpha")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -512,7 +506,7 @@ func TestFrameLengthOverrunAtTailTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [][]byte
-	s2, stats := open(t, dir, Options{}, &got, nil)
+	s2, stats := open(t, dir, Options{}, &got)
 	defer s2.Close()
 	if stats.Records != 1 || stats.TruncatedBytes != frameHeaderSize {
 		t.Fatalf("overrun header not truncated: %+v", stats)
