@@ -8,6 +8,7 @@ import (
 
 	"github.com/datamarket/mbp/internal/market/markettest"
 	"github.com/datamarket/mbp/internal/obs"
+	"github.com/datamarket/mbp/internal/obs/ts"
 )
 
 func newAuditor(t *testing.T, mutate func(*Config)) (*Auditor, *obs.Registry) {
@@ -149,6 +150,37 @@ func TestAppendP99Violation(t *testing.T) {
 	}
 	if err := a.Healthy(); err == nil || !strings.Contains(err.Error(), "append p99") {
 		t.Fatalf("healthy = %v", err)
+	}
+}
+
+// TestStoreAppendBucketsResolveAppends: the durable ledger's
+// store.append_seconds buckets resolve one append — a window of 20µs
+// or of 60µs appends reads a p50 within a doubling of the truth — and a
+// 300ms append still trips the WAL check at the default ceiling.
+func TestStoreAppendBucketsResolveAppends(t *testing.T) {
+	live, ok := obs.Default.Histograms()["store.append_seconds"]
+	if !ok {
+		t.Fatal("store.append_seconds is not registered")
+	}
+	bounds := live.Bounds()
+	for _, v := range []float64{20e-6, 60e-6} {
+		h := obs.NewRegistry().Histogram("store.append_seconds", bounds)
+		for i := 0; i < 100; i++ {
+			h.Observe(v)
+		}
+		if p50 := ts.QuantileFromCounts(bounds, h.Counts(), h.Count(), 0.5); p50 < v/2 || p50 > 2*v {
+			t.Fatalf("appends of %.0fµs read a p50 of %.1fµs", v*1e6, p50*1e6)
+		}
+	}
+
+	a, reg := newAuditor(t, nil)
+	h := reg.Histogram("store.append_seconds", bounds)
+	now := time.Unix(1000, 0)
+	a.Sweep(now) // baseline bucket counts
+	h.Observe(0.3)
+	a.Sweep(now.Add(time.Second))
+	if violations(reg, CheckWAL) != 1 {
+		t.Fatalf("a 300ms append: wal violations = %d, want 1", violations(reg, CheckWAL))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -132,6 +133,11 @@ type DurableLedger struct {
 	// the attached broker has yet to serve.
 	mu    sync.Mutex
 	skips []uint64
+	// owed lists numbers whose skip record failed to append on a store
+	// that stayed healthy. The next record journaled carries their skip
+	// records in front of it, in the same Append call (see journal), and
+	// they join skips once that append succeeds.
+	owed []uint64
 	// sawV2 latches once an attributed transaction has been journaled
 	// or applied: the epoch fence (see decodeAfter).
 	sawV2 bool
@@ -187,6 +193,7 @@ func (d *DurableLedger) apply(wr walRecord) {
 		}
 	case walKindSkip:
 		d.skips = append(d.skips, wr.Seq)
+		d.owed = slices.DeleteFunc(d.owed, func(seq uint64) bool { return seq == wr.Seq })
 		advanceMax(&d.mem.seq, wr.Seq)
 	case walKindCurve:
 		if d.unserved.curves == nil {
@@ -201,26 +208,41 @@ func (d *DurableLedger) apply(wr walRecord) {
 // lost lists, ascending, the numbers up to the sequence high-water mark
 // with neither a row nor a skip: sales allocated but never journaled.
 // The journal is in append order, not sequence order, so a crash can
-// cut off a sale whose number is below a journaled one.
+// cut off a sale whose number is below a journaled one. Rows and skips
+// mark a bitset over 0..high-water, each stripe read in place under its
+// lock.
 func (d *DurableLedger) lost() []uint64 {
-	rows := d.mem.view().txs
-	d.mu.Lock()
-	held := append(make([]uint64, 0, len(rows)+len(d.skips)), d.skips...)
-	d.mu.Unlock()
-	for i := range rows {
-		held = append(held, uint64(rows[i].Seq))
-	}
-	slices.Sort(held)
-	var lost []uint64
-	next := uint64(1)
-	for _, seq := range held {
-		for ; next < seq; next++ {
-			lost = append(lost, next)
+	hw := d.mem.seq.Load()
+	held := make([]uint64, hw/64+1)
+	held[0] = 1 // there is no number 0
+	mark := func(seq uint64) {
+		if seq <= hw {
+			held[seq/64] |= 1 << (seq % 64)
 		}
-		next = max(next, seq+1)
 	}
-	for hw := d.mem.seq.Load(); next <= hw; next++ {
-		lost = append(lost, next)
+	for i := range d.mem.shards {
+		sh := &d.mem.shards[i]
+		sh.mu.Lock()
+		for j := range sh.txs {
+			mark(uint64(sh.txs[j].Seq))
+		}
+		sh.mu.Unlock()
+	}
+	d.mu.Lock()
+	for _, seq := range d.skips {
+		mark(seq)
+	}
+	d.mu.Unlock()
+	var lost []uint64
+	for i, w := range held {
+		// w |= w+1 sets the lowest clear bit: visit each clear bit once.
+		for ; w != ^uint64(0); w |= w + 1 {
+			seq := uint64(i)*64 + uint64(bits.TrailingZeros64(^w))
+			if seq > hw {
+				break
+			}
+			lost = append(lost, seq)
+		}
 	}
 	return lost
 }
@@ -346,14 +368,54 @@ func (d *DurableLedger) releaseSeq(seq uint64) {
 	}
 }
 
-// journalSkip journals seq as a skip record and applies it. A journal
-// failure here is swallowed: the store has latched failed and every
-// subsequent sale will refuse to record anyway.
+// journalSkip journals seq as a skip record and applies it. A failed
+// append leaves it owed (see DurableLedger.owed): a failed fsync or a
+// clean write failure leaves the store healthy, and the next record
+// journaled carries the skip in front of it. On a store that latched
+// failed nothing is journaled again, and the next open derives the
+// number as lost.
 func (d *DurableLedger) journalSkip(seq uint64) {
-	wr := walRecord{Kind: walKindSkip, Seq: seq}
-	if rec, err := json.Marshal(wr); err == nil && d.st.Append(rec) == nil {
-		d.apply(wr)
+	d.mu.Lock()
+	if !slices.Contains(d.owed, seq) {
+		d.owed = append(d.owed, seq)
 	}
+	d.mu.Unlock()
+	_ = d.journal(nil) // on failure seq stays owed: nothing more to do here
+}
+
+// journal appends rec (none when nil) behind the skip records of the
+// numbers owed, in one Append call, and files the skips once it
+// succeeds. On failure they stay owed.
+func (d *DurableLedger) journal(rec []byte) error {
+	d.mu.Lock()
+	owed := d.owed
+	d.owed = nil
+	d.mu.Unlock()
+	if len(owed) == 0 {
+		if rec == nil {
+			return nil
+		}
+		return d.st.Append(rec)
+	}
+	recs := make([][]byte, 0, len(owed)+1)
+	for _, seq := range owed {
+		skip, _ := json.Marshal(walRecord{Kind: walKindSkip, Seq: seq}) // a kind and a number: cannot fail
+		recs = append(recs, skip)
+	}
+	if rec != nil {
+		recs = append(recs, rec)
+	}
+	err := d.st.Append(recs...)
+	if err != nil {
+		d.mu.Lock()
+		d.owed = append(owed, d.owed...)
+		d.mu.Unlock()
+		return err
+	}
+	for _, seq := range owed {
+		d.apply(walRecord{Kind: walKindSkip, Seq: seq})
+	}
+	return nil
 }
 
 // record journals the transaction (and its idempotency entry, in the
@@ -377,7 +439,7 @@ func (d *DurableLedger) record(ctx context.Context, tx Transaction, rep *pending
 		return fmt.Errorf("%w: encoding: %v", ErrSaleNotRecorded, err)
 	}
 	_, span := trace.Start(ctx, "store.append", "seq", strconv.Itoa(tx.Seq))
-	err = d.st.Append(rec)
+	err = d.journal(rec)
 	span.End()
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrSaleNotRecorded, err)
@@ -662,7 +724,7 @@ func (d *DurableLedger) journalStakes(stakes []SellerStake) error {
 	if err != nil {
 		return fmt.Errorf("market: encoding stakes record: %w", err)
 	}
-	return d.st.Append(rec)
+	return d.journal(rec)
 }
 
 // journalCurve appends a repriced-curve record so recovery and
@@ -672,7 +734,7 @@ func (d *DurableLedger) journalCurve(m ml.Model, pts []pricing.Point) error {
 	if err != nil {
 		return fmt.Errorf("market: encoding curve record: %w", err)
 	}
-	return d.st.Append(rec)
+	return d.journal(rec)
 }
 
 // Flush forces outstanding journal appends to disk (the drain path).

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -450,6 +451,67 @@ func TestFollowerFailedAppendLeavesEpochFenceOpen(t *testing.T) {
 		t.Fatalf("re-shipped POST: HTTP %d, want 200", code)
 	}
 	f.expect(t, "after the re-ship", recs, 3)
+}
+
+// TestSkipOwedAfterFailedAppend: a skip whose fsync fails leaves the
+// store healthy, so the number is owed, not dropped: the next sale
+// journals its skip record in front of itself, in the same append. The
+// live ledger, a follower tailing the journal and a reopen all account
+// for it.
+func TestSkipOwedAfterFailedAppend(t *testing.T) {
+	var failSync atomic.Bool
+	b := testBroker(t)
+	d, rs, err := OpenDurableLedger(t.TempDir(), store.Options{Faults: &store.Faults{Sync: func() error {
+		if failSync.Swap(false) {
+			return errors.New("injected fsync")
+		}
+		return nil
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AttachDurableLedger(d, rs)
+	buy := func() {
+		t.Helper()
+		if _, err := b.BuyAtPointContext(context.Background(), ml.LinearRegression, 0.1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Number 1 is abandoned after sale 2 claimed the next one, so handing
+	// it back fails and its skip is journaled, under a failing fsync.
+	canceled := d.mem.nextSeq()
+	buy()
+	failSync.Store(true)
+	d.releaseSeq(canceled)
+	if err := d.Healthy(); err != nil {
+		t.Fatalf("a failed fsync latched the store: %v", err)
+	}
+	d.mu.Lock()
+	skips := slices.Clone(d.skips)
+	d.mu.Unlock()
+	if len(skips) != 0 {
+		t.Fatalf("skips %v filed although the append failed", skips)
+	}
+	frames := d.Store().Frames()
+	buy()
+	if got := d.Store().Frames() - frames; got != 2 {
+		t.Fatalf("the next sale appended %d frames, want the owed skip and itself", got)
+	}
+	requireAccounted(t, "after the next sale", d)
+
+	f := newShippedFollower(t, t.TempDir(), nil)
+	recs, next, err := d.Store().ReadFrom(0, 1<<20)
+	if err != nil || next != d.Store().Frames() {
+		t.Fatalf("reading the journal: next %d of %d, %v", next, d.Store().Frames(), err)
+	}
+	if code := f.post(0, recs); code != http.StatusOK {
+		t.Fatalf("shipping the journal: HTTP %d", code)
+	}
+	requireAccounted(t, "follower", f.d)
+	if len(f.d.skips) != 1 || f.d.skips[0] != canceled {
+		t.Fatalf("follower skips %v, want [%d]", f.d.skips, canceled)
+	}
+	reopen(t, d)
 }
 
 // classifierBroker is a broker selling two classifiers over one

@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,13 +74,16 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // Hooks observe the write path without coupling the engine to a
-// metrics package. Nil fields are skipped. Callbacks run inside the
-// append lock: keep them O(1) (atomic counter bumps).
+// metrics package. Nil fields are skipped. Callbacks run under the
+// store lock, never two at once, but not always on the goroutine of the
+// append they describe: keep them O(1) (atomic counter bumps).
 type Hooks struct {
-	// OnAppend fires once per record after each successful Append,
-	// with the latency of the call that committed it.
+	// OnAppend fires once per record when an Append commits, with the
+	// latency of that call from its start to the commit.
 	OnAppend func(d time.Duration)
-	// OnFsync fires after each successful fsync of the live segment.
+	// OnFsync fires after each successful fsync of the live segment,
+	// including one whose append then fails because an append written
+	// before it failed.
 	OnFsync func()
 }
 
@@ -96,6 +100,8 @@ type Faults struct {
 	// them and truncates the torn one.
 	Write func(frame []byte) (n int, err error)
 	// Sync is consulted before each fsync; a non-nil error fails it.
+	// Under FsyncAlways appends fsync outside the store lock, so it may
+	// be called from several goroutines at once.
 	Sync func() error
 }
 
@@ -152,9 +158,12 @@ type RecoveryStats struct {
 }
 
 // Store is an append-only record log in a directory. All methods are
-// safe for concurrent use; appends are serialized internally (they
-// target one file), so the caller's natural concurrency contends only
-// here and not on any reader path.
+// safe for concurrent use. Appends write their frames one at a time,
+// under the store lock, so the file holds them in the order they took
+// it; under FsyncAlways each then fsyncs outside the lock, so
+// concurrent appends overlap their fsyncs instead of queueing behind
+// each other's, readers do not wait for them, and appends commit in
+// write order.
 type Store struct {
 	dir      string
 	policy   Policy
@@ -179,6 +188,19 @@ type Store struct {
 	stop  chan struct{} // closes the background syncer
 	done  chan struct{} // background syncer exited
 
+	// The FsyncAlways commit path (see syncAppend), guarded by mu.
+	// queue holds the appends written but not yet settled, in write
+	// order, each fsync in flight on its own descriptor of the live
+	// segment; fds are the idle ones. While sealing (the append that
+	// filled the segment is in flight) or repairing (a failed fsync is
+	// being scrubbed), new appends wait. settled is signalled whenever
+	// any of this changes.
+	queue     []*pendingAppend
+	fds       []*os.File
+	sealing   bool
+	repairing bool
+	settled   sync.Cond
+
 	// Replication bookkeeping (see replicate.go). frames is the logical
 	// record cursor: how many records the stream holds, identical across
 	// replicas because every node appends the same record sequence.
@@ -191,6 +213,18 @@ type Store struct {
 	segs     []liveSeg     // frame index of the segments, oldest first; the last is being appended to
 	ring     []digestPoint // recent (frames, digest) pairs for divergence audits
 	ringHead int
+}
+
+// pendingAppend is one FsyncAlways append between its write and its
+// settling: committed (done, err nil) or failed (done, err set).
+type pendingAppend struct {
+	start   int64 // offset of its first frame in the live segment
+	recs    [][]byte
+	began   time.Time
+	synced  bool  // its fsync returned
+	syncErr error // what the fsync returned
+	done    bool
+	err     error
 }
 
 // liveSeg is the frame index of one segment: the global frame
@@ -291,6 +325,7 @@ func Open(dir string, o Options, onRecord func(rec []byte) error) (*Store, Recov
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	s.settled.L = &s.mu
 	// Continue the newest segment, or start the first one.
 	s.index = 1
 	if len(segs) > 0 {
@@ -393,17 +428,23 @@ func (s *Store) Healthy() error {
 }
 
 // FsyncLag reports how long the oldest unsynced append has been
-// waiting for durability — 0 when every acknowledged record is on
-// disk. Under FsyncAlways it is always 0 (appends return durable);
-// under FsyncInterval it normally stays below the sync interval, and a
-// growing lag means the background syncer is stuck or failing.
+// waiting for durability — 0 when every record written is on disk.
+// Under FsyncAlways it is the age of the oldest append still waiting
+// for its fsync (none of them is acknowledged yet), so a stuck disk
+// shows here; under FsyncInterval it normally stays below the sync
+// interval, and a growing lag means the background syncer is stuck or
+// failing.
 func (s *Store) FsyncLag() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dirtySince.IsZero() {
+	since := s.dirtySince
+	if len(s.queue) > 0 {
+		since = s.queue[0].began
+	}
+	if since.IsZero() {
 		return 0
 	}
-	return time.Since(s.dirtySince)
+	return time.Since(since)
 }
 
 // fail latches the store into the failed state: every later Append
@@ -417,12 +458,20 @@ func (s *Store) fail(err error) {
 // Append journals records, in order, with one write and (under
 // FsyncAlways) one fsync. Under FsyncAlways they are durable when
 // Append returns; under the other policies they are durable after the
-// next background sync, rotation or Close. On a clean write
-// or fsync failure the log is repaired (truncated back to its size
-// before the call) and the error returned — none of the records
+// next background sync, rotation or Close.
+//
+// The frames are written under the store lock. Under FsyncAlways the
+// fsync runs outside it, so concurrent appends overlap their fsyncs,
+// and appends commit — get indexed, counted in Frames() and folded into
+// StreamDigest(), and return — in write order, each once its own fsync
+// succeeded and every append written before it committed. A failed
+// fsync fails every append not yet committed, its own included, and
+// the log is repaired: truncated back to where the first of them began.
+//
+// On a clean write failure, or a failed fsync, none of the records
 // counts, so a caller that did not acknowledge its client can safely
-// fail the operation. Only an unrepairable file leaves the store
-// failed. Appending no records is a no-op.
+// fail the operation; the store stays healthy. Only an unrepairable
+// file leaves the store failed. Appending no records is a no-op.
 func (s *Store) Append(recs ...[]byte) error {
 	for _, rec := range recs {
 		if len(rec) == 0 {
@@ -438,6 +487,9 @@ func (s *Store) Append(recs ...[]byte) error {
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for s.sealing || s.repairing {
+		s.settled.Wait()
+	}
 	if s.closed {
 		return ErrClosed
 	}
@@ -470,29 +522,123 @@ func (s *Store) Append(recs ...[]byte) error {
 	if err := s.writeFrames(frames); err != nil {
 		return err
 	}
+	// The append that fills the segment seals it: nothing is written
+	// behind it, and the segment rotates once it commits.
+	seals := s.size >= s.segBytes
 	if s.policy == FsyncAlways {
-		if err := s.syncLocked(); err != nil {
-			// The frames' durability is unknown; scrub them so a sale the
-			// buyer was never charged for cannot resurface at recovery.
-			if terr := s.truncateTo(before); terr != nil {
-				s.fail(fmt.Errorf("store: repairing after fsync failure: %w", terr))
-				return s.failErr
-			}
-			return fmt.Errorf("store: fsync: %w", err)
+		if seals {
+			s.sealing = true
+			defer func() {
+				s.sealing = false
+				s.settled.Broadcast()
+			}()
+		}
+		if err := s.syncAppend(before, recs, start); err != nil {
+			return err
 		}
 	} else {
 		s.dirty.Store(true)
 		if s.dirtySince.IsZero() {
 			s.dirtySince = start
 		}
+		s.commitLocked(before, recs, start)
 	}
-	// The records are committed: index their frames, advance the logical
-	// frame cursor and fold each payload into the stream digest (all
-	// after the durability barrier, so a scrubbed frame is never
-	// counted). The digest ring gets every intermediate cursor, so a
-	// follower's digest can be audited at any frame it stops at.
+	if seals {
+		if err := s.rotateLocked(); err != nil {
+			s.fail(err)
+			return s.failErr
+		}
+	}
+	return nil
+}
+
+// syncAppend makes the frames an FsyncAlways append wrote from offset
+// start durable, and commits them. It is called and returns with s.mu
+// held, and releases it across the fsync, which runs on a descriptor of
+// its own (see takeFD).
+//
+// Appends settle strictly in write order (settleLocked): one commits
+// only after its own fsync succeeded and every append written before it
+// committed. Another append's successful fsync is not taken as proof: a
+// descriptor opened after an in-flight fsync had already seen a
+// writeback error is not told of it, so its success says nothing about
+// the frames that error hit.
+func (s *Store) syncAppend(start int64, recs [][]byte, began time.Time) error {
+	p := &pendingAppend{start: start, recs: recs, began: began}
+	s.queue = append(s.queue, p)
+	f, err := s.takeFD()
+	if err == nil {
+		s.mu.Unlock()
+		err = s.syncFile(f)
+		s.mu.Lock()
+		s.fds = append(s.fds, f)
+		if err == nil && s.hooks.OnFsync != nil {
+			s.hooks.OnFsync()
+		}
+	}
+	p.synced, p.syncErr = true, err
+	s.settleLocked()
+	for !p.done {
+		s.settled.Wait()
+	}
+	return p.err
+}
+
+// settleLocked settles the queue from its head while the head's fsync
+// has returned: a success commits it, and a failure fails it and
+// everything behind it (repairLocked).
+func (s *Store) settleLocked() {
+	for len(s.queue) > 0 && s.queue[0].synced {
+		p := s.queue[0]
+		if p.syncErr != nil {
+			s.repairLocked(p.syncErr)
+			return
+		}
+		s.queue = slices.Delete(s.queue, 0, 1)
+		s.commitLocked(p.start, p.recs, p.began)
+		p.done = true
+	}
+	s.settled.Broadcast()
+}
+
+// repairLocked fails every queued append with the fsync error err,
+// including any whose own fsync has succeeded or will: the frames are
+// scrubbed together. New appends wait until the in-flight fsyncs have
+// returned; then the log is truncated back to where the first failed
+// append began, so a sale the buyer was never charged for cannot
+// resurface at recovery, and the descriptor pool, whose members may
+// have seen the error, is discarded.
+func (s *Store) repairLocked(err error) {
+	failed := s.queue
+	s.queue = nil
+	s.repairing = true
+	for _, p := range failed {
+		for !p.synced {
+			s.settled.Wait()
+		}
+	}
+	s.repairing = false
+	err = fmt.Errorf("store: fsync: %w", err)
+	if terr := s.truncateTo(failed[0].start); terr != nil {
+		s.fail(fmt.Errorf("store: repairing after fsync failure: %w", terr))
+		err = s.failErr
+	}
+	s.closeFDs()
+	for _, p := range failed {
+		p.done, p.err = true, err
+	}
+	s.settled.Broadcast()
+}
+
+// commitLocked commits records whose frames were written from offset
+// start of the live segment: it indexes their frames, advances the
+// logical frame cursor and folds each payload into the stream digest
+// (all after the durability barrier, so a scrubbed frame is never
+// counted). The digest ring gets every intermediate cursor, so a
+// follower's digest can be audited at any frame it stops at.
+func (s *Store) commitLocked(start int64, recs [][]byte, began time.Time) {
 	seg := &s.segs[len(s.segs)-1]
-	end := before
+	end := start
 	for _, rec := range recs {
 		end += frameHeaderSize + int64(len(rec))
 		seg.ends = append(seg.ends, end)
@@ -501,18 +647,35 @@ func (s *Store) Append(recs ...[]byte) error {
 		s.pushDigestLocked()
 	}
 	if s.hooks.OnAppend != nil {
-		el := time.Since(start)
+		el := time.Since(began)
 		for range recs {
 			s.hooks.OnAppend(el)
 		}
 	}
-	if s.size >= s.segBytes {
-		if err := s.rotateLocked(); err != nil {
-			s.fail(err)
-			return s.failErr
-		}
+}
+
+// takeFD hands out an idle descriptor of the live segment for one
+// fsync, opening one when none is idle. Every in-flight fsync runs on
+// its own: Linux reports a writeback error once per open file
+// description, so two fsyncs sharing one could split an error, one
+// reporting it and the other returning success for pages that may not
+// be on disk. The pool is discarded on rotation and after a repair.
+func (s *Store) takeFD() (*os.File, error) {
+	if n := len(s.fds); n > 0 {
+		f := s.fds[n-1]
+		s.fds = s.fds[:n-1]
+		return f, nil
 	}
-	return nil
+	return os.OpenFile(filepath.Join(s.dir, segName(s.index)), os.O_WRONLY, 0)
+}
+
+// closeFDs discards the descriptor pool. Callers hold s.mu with no
+// append in its fsync.
+func (s *Store) closeFDs() {
+	for _, f := range s.fds {
+		f.Close()
+	}
+	s.fds = nil
 }
 
 // writeFrames writes framed bytes to the live segment, repairing
@@ -547,14 +710,31 @@ func (s *Store) truncateTo(sz int64) error {
 	return nil
 }
 
-// syncLocked fsyncs the live segment (consulting the fault hook).
-func (s *Store) syncLocked() error {
+// syncFile fsyncs f, consulting the fault hook first.
+func (s *Store) syncFile(f *os.File) error {
 	if s.faults != nil && s.faults.Sync != nil {
 		if err := s.faults.Sync(); err != nil {
 			return err
 		}
 	}
-	if err := s.f.Sync(); err != nil {
+	return f.Sync()
+}
+
+// syncLocked fsyncs the live segment for Flush, Close, rotation and the
+// background syncer. Under FsyncAlways it uses a pooled descriptor, as
+// the appends do: the write descriptor is never fsynced there, so it
+// cannot report again an error an append's fsync reported and the
+// store repaired.
+func (s *Store) syncLocked() error {
+	f := s.f
+	if s.policy == FsyncAlways {
+		var err error
+		if f, err = s.takeFD(); err != nil {
+			return err
+		}
+		defer func() { s.fds = append(s.fds, f) }()
+	}
+	if err := s.syncFile(f); err != nil {
 		return err
 	}
 	s.dirtySince = time.Time{}
@@ -592,11 +772,16 @@ func (s *Store) syncLoop() {
 }
 
 // rotateLocked seals the live segment (final sync + close) and starts
-// the next one.
+// the next one. Under FsyncAlways the append that filled the segment
+// has fsynced it, after every append written before it committed, so
+// the segment is durable already and no fsync is in flight.
 func (s *Store) rotateLocked() error {
-	if err := s.syncLocked(); err != nil {
-		return fmt.Errorf("store: syncing segment before rotation: %w", err)
+	if s.policy != FsyncAlways {
+		if err := s.syncLocked(); err != nil {
+			return fmt.Errorf("store: syncing segment before rotation: %w", err)
+		}
 	}
+	s.closeFDs()
 	if err := s.f.Close(); err != nil {
 		return fmt.Errorf("store: closing rotated segment: %w", err)
 	}
@@ -637,8 +822,9 @@ func (s *Store) Flush() error {
 	return s.syncLocked()
 }
 
-// Close stops the background syncer, flushes outstanding appends, and
-// closes the live segment. Further operations return ErrClosed.
+// Close stops the background syncer, waits for appends in flight to
+// settle, flushes, and closes the live segment. Further operations
+// return ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -652,12 +838,16 @@ func (s *Store) Close() error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for len(s.queue) > 0 || s.sealing || s.repairing {
+		s.settled.Wait()
+	}
 	var errs []error
 	if s.failErr == nil {
 		if err := s.syncLocked(); err != nil {
 			errs = append(errs, fmt.Errorf("store: final fsync: %w", err))
 		}
 	}
+	s.closeFDs()
 	if err := s.f.Close(); err != nil {
 		errs = append(errs, fmt.Errorf("store: closing segment: %w", err))
 	}

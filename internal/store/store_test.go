@@ -455,30 +455,40 @@ func TestClosedStoreRefusesOperations(t *testing.T) {
 // TestZeroFilledTailTruncates covers the filesystem crash mode where
 // the tail of the file comes back as zeros: a zero length field is an
 // implausible frame, so recovery truncates rather than replaying
-// garbage records.
+// garbage records. That holds when a whole frame follows the zeros
+// too, the shape overlapping fsyncs can leave at a power failure: an
+// unacknowledged append whose bytes never reached the disk, then a
+// later one whose bytes did.
 func TestZeroFilledTailTruncates(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := open(t, dir, Options{}, nil)
-	appendAll(t, s, "alpha")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, segName(1))
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var got [][]byte
-	s2, stats := open(t, dir, Options{}, &got)
-	defer s2.Close()
-	if stats.Records != 1 || stats.TruncatedBytes != 64 {
-		t.Fatalf("zero tail not truncated: %+v", stats)
+	for name, tail := range map[string][]byte{
+		"zeros":            make([]byte, 64),
+		"zeros-then-frame": append(make([]byte, frameHeaderSize+len("gamma")), appendFrame(nil, []byte("delta"))...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := open(t, dir, Options{}, nil)
+			appendAll(t, s, "alpha")
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, segName(1))
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tail); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var got [][]byte
+			s2, stats := open(t, dir, Options{}, &got)
+			defer s2.Close()
+			if stats.Records != 1 || stats.TruncatedBytes != int64(len(tail)) || string(got[0]) != "alpha" {
+				t.Fatalf("zero tail not truncated: %+v, recovered %q", stats, got)
+			}
+		})
 	}
 }
 
