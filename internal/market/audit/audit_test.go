@@ -9,6 +9,7 @@ import (
 	"github.com/datamarket/mbp/internal/market/markettest"
 	"github.com/datamarket/mbp/internal/obs"
 	"github.com/datamarket/mbp/internal/obs/ts"
+	"github.com/datamarket/mbp/internal/store"
 )
 
 func newAuditor(t *testing.T, mutate func(*Config)) (*Auditor, *obs.Registry) {
@@ -121,6 +122,33 @@ func TestFsyncLagViolation(t *testing.T) {
 		t.Fatalf("wal violations = %d", violations(reg, CheckWAL))
 	}
 	if err := a.Healthy(); err == nil || !strings.Contains(err.Error(), "fsync lag") {
+		t.Fatalf("healthy = %v", err)
+	}
+}
+
+// TestFsyncNeverStoreKeepsWALHealthy: a journal at -fsync never
+// promises no sync, so an auditor wired to its FsyncLag, as mbpmarket
+// wires it by default, stays healthy however long ago its last append
+// landed.
+func TestFsyncNeverStoreKeepsWALHealthy(t *testing.T) {
+	st, _, err := store.Open(t.TempDir(), store.Options{Policy: store.FsyncNever}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Append([]byte("sale")); err != nil {
+		t.Fatal(err)
+	}
+	a, reg := newAuditor(t, func(c *Config) {
+		c.FsyncLag = st.FsyncLag
+		c.MaxFsyncLag = 10 * time.Millisecond
+	})
+	time.Sleep(30 * time.Millisecond)
+	a.Sweep(time.Now())
+	if n := violations(reg, CheckWAL); n != 0 {
+		t.Fatalf("wal violations = %d, want none", n)
+	}
+	if err := a.Healthy(); err != nil {
 		t.Fatalf("healthy = %v", err)
 	}
 }

@@ -18,6 +18,10 @@ import (
 const (
 	frameHeaderSize = 8
 
+	// sectorSize is the smallest unit a disk writes whole, so the
+	// smallest piece of an unsynced write a crash can lose.
+	sectorSize = 512
+
 	// maxRecordBytes bounds a single record. A claimed length beyond
 	// this is treated as corruption, not as an instruction to allocate
 	// gigabytes: the header bytes themselves may be the damaged part.
@@ -59,23 +63,29 @@ func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 // slices alias buf.
 //
 // The tail rule implements crash semantics: an interrupted append can
-// only damage the final frame of the final segment, so
+// only damage the frames written after the last one synced, in the
+// final segment. The live segment's file runs ahead of its frames in
+// zeros (see preallocate), and a sector a crash kept from the disk reads
+// back as it stood before those frames were written: zeros from the
+// first unsynced frame on. So
 //
-//   - in the last segment (last=true), a bad frame that extends to or
-//     past the end of buf is a torn tail — scanning stops, good is the
-//     offset to truncate back to, and err is nil;
-//   - any bad frame that is provably followed by more data (or any bad
-//     frame at all when last=false) is mid-log corruption and returns a
-//     *CorruptError, because a torn final write cannot leave valid
-//     bytes after itself.
+//   - in the last segment (last=true), a bad frame is a torn tail —
+//     scanning stops, good is the offset to truncate back to, and err is
+//     nil — when it extends to or past the end of buf, when only zero
+//     bytes follow it, or when a sector it touches reads as zeros from
+//     the frame's start on (see lostSector);
+//   - any other bad frame (or any bad frame at all when last=false) is
+//     mid-log corruption and returns a *CorruptError, because a torn
+//     write cannot leave valid bytes after itself without losing a
+//     whole sector in between.
 //
 // good is always the offset just past the last valid frame.
 func scanFrames(buf []byte, segment string, last bool) (records [][]byte, good int64, err error) {
 	off := int64(0)
 	n := int64(len(buf))
 	for off < n {
-		bad := func(reason string, reachesEnd bool) error {
-			if last && reachesEnd {
+		bad := func(reason string, torn bool) error {
+			if last && torn {
 				return nil // torn tail: truncate at off
 			}
 			return &CorruptError{Segment: segment, Offset: off, Reason: reason}
@@ -98,11 +108,36 @@ func scanFrames(buf []byte, segment string, last bool) (records [][]byte, good i
 		}
 		payload := buf[off+frameHeaderSize : end]
 		if crc32.Checksum(payload, castagnoli) != sum {
-			return records, good, bad("checksum mismatch", end >= n)
+			return records, good, bad("checksum mismatch", onlyZeros(buf[end:]) || lostSector(buf, off, end))
 		}
 		records = append(records, payload)
 		off = end
 		good = off
 	}
 	return records, good, nil
+}
+
+// onlyZeros reports whether b holds nothing but zero bytes (true when
+// empty).
+func onlyZeros(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// lostSector reports whether a sectorSize-aligned sector that the frame
+// at buf[off:end] touches holds only zeros from the frame's start to the
+// sector's end: the shape of a sector that never reached the disk, past
+// the last synced frame of a preallocated segment. Random damage almost
+// never zeroes a whole aligned sector.
+func lostSector(buf []byte, off, end int64) bool {
+	for s := off / sectorSize * sectorSize; s < end; s += sectorSize {
+		if onlyZeros(buf[max(s, off):min(s+sectorSize, int64(len(buf)))]) {
+			return true
+		}
+	}
+	return false
 }

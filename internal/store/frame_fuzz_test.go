@@ -17,6 +17,10 @@ import (
 //     last=false (a sealed segment can't have a torn tail).
 //  4. Flipping a payload byte in a non-final frame is mid-log
 //     corruption: typed error regardless of last.
+//  5. Padding a valid or torn log with zeros, as the live segment's
+//     preallocation does, changes nothing it recovers when last=true
+//     (unless the bytes the tear cut were zeros themselves: then the
+//     padding restores them), and returns ErrCorrupt when last=false.
 func FuzzFrameDecode(f *testing.F) {
 	seed := appendFrame(nil, []byte("alpha"))
 	seed = appendFrame(seed, []byte("beta"))
@@ -24,6 +28,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{}, uint16(0), true)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint16(3), true)
 	f.Add(bytes.Repeat([]byte{0xFF}, 40), uint16(20), false)
+	f.Add(append(append([]byte(nil), seed[:frameHeaderSize+2]...), make([]byte, 24)...), uint16(9), true)
 
 	f.Fuzz(func(t *testing.T, raw []byte, cut uint16, last bool) {
 		// Invariant 1: arbitrary input never panics, and the reported
@@ -90,6 +95,30 @@ func FuzzFrameDecode(f *testing.F) {
 		if cutAt > lastStart { // a sealed segment with a partial frame is corrupt
 			if _, _, err := scanFrames(torn, "fuzz.log", false); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("torn tail in sealed segment returned %v, want ErrCorrupt", err)
+			}
+		}
+
+		// Invariant 5: zero padding. The pad always runs past the valid
+		// log's end, so a sealed segment meets a zero frame header.
+		for _, log := range [][]byte{valid, torn} {
+			want := log
+			if onlyZeros(valid[len(log):]) {
+				want = valid
+			}
+			wantRecs, wantGood, _ := scanFrames(want, "fuzz.log", true)
+			padded := append(append([]byte(nil), log...), make([]byte, len(valid)-len(log)+1+int(cut)%64)...)
+			recs, good, err := scanFrames(padded, "fuzz.log", true)
+			if err != nil || good != wantGood || len(recs) != len(wantRecs) {
+				t.Fatalf("%d-byte log padded to %d: %d records, good=%d, err=%v; want %d records, good=%d",
+					len(log), len(padded), len(recs), good, err, len(wantRecs), wantGood)
+			}
+			for i := range recs {
+				if !bytes.Equal(recs[i], wantRecs[i]) {
+					t.Fatalf("padded log record %d = %q, want %q", i, recs[i], wantRecs[i])
+				}
+			}
+			if _, _, err := scanFrames(padded, "fuzz.log", false); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("zero-padded sealed segment returned %v, want ErrCorrupt", err)
 			}
 		}
 

@@ -142,6 +142,19 @@ func TestFsyncLagShowsAnAppendInItsFsync(t *testing.T) {
 	}
 }
 
+// TestFsyncLagZeroUnderNever: FsyncNever promises no sync, so an
+// append the OS has not written back yet is not late, and FsyncLag
+// stays 0 however long the store sits idle after it.
+func TestFsyncLagZeroUnderNever(t *testing.T) {
+	s, _ := open(t, t.TempDir(), Options{Policy: FsyncNever}, nil)
+	defer s.Close()
+	appendAll(t, s, "alpha")
+	time.Sleep(20 * time.Millisecond)
+	if lag := s.FsyncLag(); lag != 0 {
+		t.Fatalf("FsyncLag under never = %v after an append, want 0", lag)
+	}
+}
+
 // readAll reads the whole stream through ReadFrom.
 func readAll(t *testing.T, s *Store) [][]byte {
 	t.Helper()

@@ -40,7 +40,7 @@ const (
 	// interval's acknowledged appends.
 	FsyncInterval
 	// FsyncNever leaves syncing to the OS (plus rotation and Close,
-	// which always sync): fastest, weakest.
+	// which always sync): fastest, weakest. FsyncLag reads 0 under it.
 	FsyncNever
 )
 
@@ -125,6 +125,11 @@ const (
 	defaultSegmentBytes = 64 << 20
 	defaultSyncInterval = 100 * time.Millisecond
 
+	// allocStep is how far the live segment's file is zero-filled ahead
+	// of its frames (see preallocate), so that most appends overwrite
+	// allocated blocks of a file whose size does not change.
+	allocStep = 1 << 20
+
 	segPrefix  = "wal-"
 	segSuffix  = ".log"
 	snapPrefix = "snap-"
@@ -152,8 +157,9 @@ type RecoveryStats struct {
 	Records int
 	// Segments is the number of WAL segments scanned.
 	Segments int
-	// TruncatedBytes is the size of the torn tail cut from the final
-	// segment (0 for a clean log).
+	// TruncatedBytes is the number of bytes cut from the final segment:
+	// a torn tail and, after an unclean stop, the zero-filled
+	// preallocation behind the last frame (0 after a clean Close).
 	TruncatedBytes int64
 }
 
@@ -175,7 +181,8 @@ type Store struct {
 	mu      sync.Mutex
 	f       *os.File // live segment
 	index   uint64   // live segment index
-	size    int64    // live segment size
+	size    int64    // end of the live segment's last frame
+	alloc   int64    // live segment's file size: size plus its zero-filled preallocation
 	scratch []byte   // frame-encoding buffer, reused across appends
 	closed  bool
 	failErr error
@@ -240,8 +247,9 @@ type liveSeg struct {
 
 // Open opens (creating if needed) the store in dir and replays its
 // persisted state: every record is handed to onRecord in append order.
-// A torn final frame — the signature of a crash mid-append — is
-// truncated away and counted in the stats; corruption anywhere else,
+// A torn final frame — the signature of a crash mid-append — and the
+// zeros an unclean stop leaves behind the last frame are truncated away
+// and counted in the stats; corruption anywhere else,
 // a missing segment included, aborts with an error matching
 // ErrCorrupt, and a directory holding a compaction snapshot with one
 // matching ErrSnapshotFound. onRecord may
@@ -341,7 +349,7 @@ func Open(dir string, o Options, onRecord func(rec []byte) error) (*Store, Recov
 		f.Close()
 		return nil, stats, fmt.Errorf("store: seeking segment end: %w", err)
 	}
-	s.f, s.size = f, sz
+	s.f, s.size, s.alloc = f, sz, sz
 
 	s.frames.Store(uint64(stats.Records))
 	s.digest.Store(digest)
@@ -433,8 +441,12 @@ func (s *Store) Healthy() error {
 // for its fsync (none of them is acknowledged yet), so a stuck disk
 // shows here; under FsyncInterval it normally stays below the sync
 // interval, and a growing lag means the background syncer is stuck or
-// failing.
+// failing. Under FsyncNever it is always 0: that policy promises no
+// sync, so no append is ever late for one.
 func (s *Store) FsyncLag() time.Duration {
+	if s.policy == FsyncNever {
+		return 0
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	since := s.dirtySince
@@ -678,27 +690,59 @@ func (s *Store) closeFDs() {
 	s.fds = nil
 }
 
-// writeFrames writes framed bytes to the live segment, repairing
-// (truncating back) on a short write so the log never carries a half
-// frame that a later append would bury mid-log.
+// writeFrames writes framed bytes to the live segment, after extending
+// its preallocation when they would pass it. A failed or short write of
+// either is repaired by truncating back to the last frame, so the log
+// never carries a half frame that a later append would bury mid-log.
 func (s *Store) writeFrames(frames []byte) error {
-	n, err := s.f.Write(frames)
-	if err != nil || n != len(frames) {
-		if terr := s.truncateTo(s.size); terr != nil {
-			s.fail(fmt.Errorf("store: repairing short write: %w", terr))
-			return s.failErr
-		}
-		if err == nil {
+	end := s.size + int64(len(frames))
+	err := s.preallocate(end)
+	if err == nil {
+		var n int
+		if n, err = s.f.Write(frames); err == nil && n != len(frames) {
 			err = io.ErrShortWrite
+		}
+	}
+	if err != nil {
+		if terr := s.truncateTo(s.size); terr != nil {
+			s.fail(fmt.Errorf("store: repairing failed write: %w", terr))
+			return s.failErr
 		}
 		return fmt.Errorf("store: append: %w", err)
 	}
-	s.size += int64(n)
+	s.size = end
 	return nil
 }
 
-// truncateTo cuts the live segment back to sz and repositions the
-// write offset there.
+// zeros is the source of preallocate's zero-fill.
+var zeros [64 << 10]byte
+
+// preallocate keeps the live segment's file ahead of its frames: when
+// frames ending at end would pass the allocated end, it first writes
+// zeros from end to the next allocStep boundary, capped at the segment
+// size so a sealed segment holds only frames. Appends then overwrite
+// allocated blocks of a file whose size does not change, so their sync
+// need not persist a new size. Zeros, not a sparse or fallocated
+// extension: those leave each block to be allocated, or converted from
+// unwritten, at writeback, on the sync the append waits for.
+func (s *Store) preallocate(end int64) error {
+	if end <= s.alloc {
+		return nil
+	}
+	to := min((end+allocStep-1)/allocStep*allocStep, s.segBytes)
+	for off := end; off < to; {
+		n, err := s.f.WriteAt(zeros[:min(to-off, int64(len(zeros)))], off)
+		if err != nil {
+			return err
+		}
+		off += int64(n)
+	}
+	s.alloc = max(end, to)
+	return nil
+}
+
+// truncateTo cuts the live segment back to sz, dropping its
+// preallocation, and repositions the write offset there.
 func (s *Store) truncateTo(sz int64) error {
 	if err := s.f.Truncate(sz); err != nil {
 		return err
@@ -706,7 +750,7 @@ func (s *Store) truncateTo(sz int64) error {
 	if _, err := s.f.Seek(sz, io.SeekStart); err != nil {
 		return err
 	}
-	s.size = sz
+	s.size, s.alloc = sz, sz
 	return nil
 }
 
@@ -790,7 +834,7 @@ func (s *Store) rotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: creating segment %d: %w", s.index, err)
 	}
-	s.f, s.size = f, 0
+	s.f, s.size, s.alloc = f, 0, 0
 	s.dirty.Store(false)
 	s.segs = append(s.segs, liveSeg{idx: s.index, first: s.frames.Load()})
 	return s.syncDir()
@@ -823,8 +867,9 @@ func (s *Store) Flush() error {
 }
 
 // Close stops the background syncer, waits for appends in flight to
-// settle, flushes, and closes the live segment. Further operations
-// return ErrClosed.
+// settle, truncates the live segment back to its last frame, flushes,
+// and closes it. Further operations return ErrClosed. A failed store is
+// left as the failure left it, for recovery to cut.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -843,6 +888,11 @@ func (s *Store) Close() error {
 	}
 	var errs []error
 	if s.failErr == nil {
+		if s.alloc > s.size {
+			if err := s.truncateTo(s.size); err != nil {
+				errs = append(errs, fmt.Errorf("store: cutting preallocation: %w", err))
+			}
+		}
 		if err := s.syncLocked(); err != nil {
 			errs = append(errs, fmt.Errorf("store: final fsync: %w", err))
 		}

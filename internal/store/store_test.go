@@ -102,6 +102,94 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
+// TestSegmentLayout: while open, the live segment's file runs ahead of
+// its frames in zeros to the next allocStep boundary, never past
+// SegmentBytes; a sealed segment's file holds exactly its frames. An
+// unclean stop leaves the zeros for Open to cut, counted in
+// TruncatedBytes; Close cuts them itself, so a reopen cuts nothing.
+func TestSegmentLayout(t *testing.T) {
+	const segBytes = allocStep + allocStep/2
+	for _, policy := range []Policy{FsyncAlways, FsyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			o := Options{Policy: policy, SegmentBytes: segBytes}
+			s, _ := open(t, dir, o, nil)
+			fileSize := func(seg int) int64 {
+				t.Helper()
+				fi, err := os.Stat(filepath.Join(dir, segName(uint64(seg+1))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fi.Size()
+			}
+			ends := []int64{0} // frame bytes per segment; the last is live
+			const recs = 130   // about 40 to a segment: three sealed, one live
+			for i := 0; i < recs; i++ {
+				rec := bytes.Repeat([]byte{'a' + byte(i%26)}, 40_000+i%7)
+				appendAll(t, s, string(rec))
+				live := len(ends) - 1
+				ends[live] += frameHeaderSize + int64(len(rec))
+				if ends[live] >= segBytes {
+					ends = append(ends, 0) // sealed: the next append goes to a new segment
+					continue
+				}
+				end := ends[live]
+				want := min((end+allocStep-1)/allocStep*allocStep, segBytes)
+				if got := fileSize(live); got != want {
+					t.Fatalf("record %d: live segment %d is %d bytes with frames ending at %d, want %d",
+						i, live+1, got, end, want)
+				}
+			}
+			for seg, end := range ends[:len(ends)-1] {
+				buf, err := os.ReadFile(filepath.Join(dir, segName(uint64(seg+1))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, good, err := scanFrames(buf, segName(uint64(seg+1)), false); err != nil || good != end || int64(len(buf)) != end {
+					t.Fatalf("sealed segment %d: %d bytes, frames end at %d (err %v), want exactly %d bytes of frames",
+						seg+1, len(buf), good, err, end)
+				}
+			}
+			live := len(ends) - 1
+			ahead := fileSize(live) - ends[live]
+			if live < 3 || ahead <= 0 {
+				t.Fatalf("%d segments, the live one %d bytes ahead of its frames: want rotations and a preallocation", live+1, ahead)
+			}
+
+			// An unclean stop: a copy of the files as they stand.
+			crashed := t.TempDir()
+			for seg := range ends {
+				buf, err := os.ReadFile(filepath.Join(dir, segName(uint64(seg+1))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(crashed, segName(uint64(seg+1))), buf, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s2, stats := open(t, crashed, o, nil)
+			if stats.Records != recs || stats.TruncatedBytes != ahead {
+				t.Fatalf("after an unclean stop: %+v, want %d records and the %d-byte preallocation cut", stats, recs, ahead)
+			}
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fileSize(live); got != ends[live] {
+				t.Fatalf("closed live segment is %d bytes, want its %d bytes of frames", got, ends[live])
+			}
+			s3, stats := open(t, dir, o, nil)
+			defer s3.Close()
+			if stats.Records != recs || stats.Segments != len(ends) || stats.TruncatedBytes != 0 {
+				t.Fatalf("reopen after Close: %+v, want %d records over %d segments and nothing cut", stats, recs, len(ends))
+			}
+		})
+	}
+}
+
 // TestOpenRefusesSnapshotDir: a directory holding a compaction
 // snapshot, which older versions wrote, is refused with an error that
 // names the file, because replaying only the segments after it would
@@ -452,43 +540,74 @@ func TestClosedStoreRefusesOperations(t *testing.T) {
 	}
 }
 
+// storeWithTail returns a store directory whose one segment holds the
+// frame "alpha" followed by tail, as a crash could leave it.
+func storeWithTail(t *testing.T, tail []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	s, _ := open(t, dir, Options{}, nil)
+	appendAll(t, s, "alpha")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, segName(1)), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // TestZeroFilledTailTruncates covers the filesystem crash mode where
 // the tail of the file comes back as zeros: a zero length field is an
 // implausible frame, so recovery truncates rather than replaying
 // garbage records. That holds when a whole frame follows the zeros
 // too, the shape overlapping fsyncs can leave at a power failure: an
 // unacknowledged append whose bytes never reached the disk, then a
-// later one whose bytes did.
+// later one whose bytes did. It holds for half a frame followed by
+// zeros, the shape a crash mid-append leaves in the preallocated live
+// segment. And it holds for half a frame, zeros to the next sector
+// boundary and then a whole frame: the frame's second sector, which
+// also held the frame after it, never reached the disk, and the sector
+// after that did.
 func TestZeroFilledTailTruncates(t *testing.T) {
+	alpha := frameHeaderSize + len("alpha")
+	lost := appendFrame(nil, bytes.Repeat([]byte{'g'}, sectorSize))[:sectorSize-alpha]
+	lost = append(append(lost, make([]byte, sectorSize)...), appendFrame(nil, []byte("delta"))...)
 	for name, tail := range map[string][]byte{
-		"zeros":            make([]byte, 64),
-		"zeros-then-frame": append(make([]byte, frameHeaderSize+len("gamma")), appendFrame(nil, []byte("delta"))...),
+		"zeros":                  make([]byte, 64),
+		"zeros-then-frame":       append(make([]byte, frameHeaderSize+len("gamma")), appendFrame(nil, []byte("delta"))...),
+		"half-frame-then-zeros":  append(appendFrame(nil, []byte("gamma-delta"))[:frameHeaderSize+5], make([]byte, 64)...),
+		"lost-sector-then-frame": lost,
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, _ := open(t, dir, Options{}, nil)
-			appendAll(t, s, "alpha")
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(dir, segName(1))
-			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write(tail); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
 			var got [][]byte
-			s2, stats := open(t, dir, Options{}, &got)
-			defer s2.Close()
+			s, stats := open(t, storeWithTail(t, tail), Options{}, &got)
+			defer s.Close()
 			if stats.Records != 1 || stats.TruncatedBytes != int64(len(tail)) || string(got[0]) != "alpha" {
 				t.Fatalf("zero tail not truncated: %+v, recovered %q", stats, got)
 			}
 		})
+	}
+}
+
+// TestZerosShortOfASectorAreCorruption: zeros inside a bad frame that
+// leave no sector it touches zero from the frame's start on cannot be
+// a sector lost in a crash, so with a valid frame after it the bad
+// frame is mid-log corruption, not a torn tail.
+func TestZerosShortOfASectorAreCorruption(t *testing.T) {
+	alpha := frameHeaderSize + len("alpha")
+	bad := appendFrame(nil, bytes.Repeat([]byte{'g'}, sectorSize))
+	clear(bad[200-alpha:]) // zeros from offset 200 to the frame's end, past the first sector
+	dir := storeWithTail(t, append(bad, appendFrame(nil, []byte("delta"))...))
+	var ce *CorruptError
+	if _, _, err := Open(dir, Options{}, nil); !errors.As(err, &ce) || ce.Offset != int64(alpha) {
+		t.Fatalf("bad frame with a partly zeroed sector before a valid one: %v, want corruption at offset %d", err, alpha)
 	}
 }
 

@@ -12,10 +12,16 @@
 #      shares, with one row sold live just before) and the /sellers
 #      document (revenue per seller, broker share, zero conservation
 #      violations) are byte-for-byte identical across a quiescent
-#      kill -9 / restart cycle.
+#      kill -9 / restart cycle,
+#   4. each restart after a kill -9 cuts the zero-filled preallocation
+#      the live segment carried ahead of its frames.
+# FSYNC picks the -fsync policy (always, interval or never; default
+# always): a process crash loses nothing under any of them, because
+# the page cache outlives the process.
 # Stdlib tools only — JSON is picked apart with grep -o, no jq.
 set -euo pipefail
 
+FSYNC=${FSYNC:-always}
 ADDR=127.0.0.1:8777
 BASE="http://$ADDR"
 DIR=$(mktemp -d)
@@ -26,7 +32,7 @@ trap 'kill $PID 2>/dev/null || true; rm -rf "$DIR" "$LOG" "$(dirname "$BIN")"' E
 go build -o "$BIN" ./cmd/mbpmarket
 
 start() {
-  "$BIN" -dataset CASP -addr "$ADDR" -store-dir "$DIR" -fsync always >>"$LOG" 2>&1 &
+  "$BIN" -dataset CASP -addr "$ADDR" -store-dir "$DIR" -fsync "$FSYNC" >>"$LOG" 2>&1 &
   PID=$!
   for _ in $(seq 1 100); do
     curl -fsS "$BASE/healthz" >/dev/null 2>&1 && return 0
@@ -40,12 +46,19 @@ buy() { # buy [curl-args...]
   curl -fsS -X POST "$@" -d '{"model":"linear-regression","priceBudget":40}' "$BASE/buy"
 }
 
+cut_preallocation() {
+  # The newest "ledger recovered" line: the restart just made.
+  local cut
+  cut=$(grep 'ledger recovered' "$LOG" | tail -1 | grep -o '"truncatedBytes":[0-9]*' | grep -o '[0-9]*$')
+  [ "${cut:-0}" -gt 0 ] || { echo "restart after kill -9 cut no zero-filled tail"; tail "$LOG"; exit 1; }
+}
+
 ledger_seqs() {
   # /ledger rows marshal market.Transaction verbatim: "Seq" capitalized.
   curl -fsS "$BASE/ledger" | grep -o '"Seq":[0-9]*' | grep -o '[0-9]*' | sort -n
 }
 
-echo "== first run: trains, journals sales =="
+echo "== first run at -fsync $FSYNC: trains, journals sales =="
 start
 
 for i in 1 2 3; do buy >/dev/null; done
@@ -73,6 +86,7 @@ wait "$PID" 2>/dev/null || true
 echo "== restart on the same store: warm-start + WAL replay =="
 start
 grep -q 'ledger recovered' "$LOG" || { echo "no recovery log line"; tail "$LOG"; exit 1; }
+cut_preallocation
 
 AFTER=$(ledger_seqs)
 # Every pre-crash sale must survive (recovery may legitimately hold
@@ -125,6 +139,7 @@ kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
 start
+cut_preallocation
 # No traffic ran between the capture and the kill, so recovery must
 # reproduce the ledger and the attribution state EXACTLY — every float
 # is journaled as raw bits, every wall time as its instant and UTC
@@ -147,4 +162,4 @@ SELLERS_B=$(curl -fsS "$BASE/sellers")
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
-echo "crash-recovery smoke OK: $AFTER_N sales survived, key replayed as seq $REPLAY_SEQ, ledger and attribution exact across recovery"
+echo "crash-recovery smoke OK at -fsync $FSYNC: $AFTER_N sales survived, key replayed as seq $REPLAY_SEQ, ledger and attribution exact across recovery"
